@@ -15,7 +15,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -49,9 +48,9 @@ struct Topology {
   /// it while delivering frames, which no destructor does, so the member
   /// order relative to medium is immaterial.
   std::unique_ptr<ndn::DataVerifyPrewarm> verify_prewarm;
-  /// Thread-local cache installation for the trial (coordinator) thread;
-  /// fan-out lanes get theirs from the prewarm's worker hooks. Declared
-  /// after verify_cache so it is torn down first.
+  /// Thread-local cache installation for the trial thread, where every
+  /// receive callback runs. Declared after verify_cache so it is torn
+  /// down first.
   std::unique_ptr<crypto::VerifyCacheScope> verify_scope;
   /// The trial's event tracer, built from params.trace when enabled
   /// (null otherwise) and installed into this thread for the topology's
@@ -98,23 +97,16 @@ struct Topology {
   int group_fill_ = 0;
 };
 
-/// Completion bookkeeping shared by all drivers.
-///
-/// `record` is the one piece of cross-node shared state the completion
-/// callbacks mutate, and under the phase-parallel trial engine two
-/// downloaders can finish inside the same fan-out phase on different
-/// lanes — so it takes a mutex. Every consumer (count, mean, max) is
-/// order-independent, so lane timing cannot leak into results. The
-/// readers run on the coordinator between events (the executor's phase
-/// join orders them after every `record`), so they stay lock-free.
+/// Completion bookkeeping shared by all drivers. Every consumer (count,
+/// mean, max) is order-independent; `mean_time` sums in sorted order,
+/// which the fig9b/Table-I goldens pin.
 struct CompletionTracker {
   int expected = 0;           ///< downloaders that should finish
   int completed = 0;          ///< downloaders that have finished
   std::vector<double> times;  ///< completion times, seconds
 
-  /// Record one downloader finishing at time @p t. Thread-safe.
+  /// Record one downloader finishing at time @p t.
   void record(double t) {
-    std::lock_guard<std::mutex> lock(mutex_);
     ++completed;
     times.push_back(t);
   }
@@ -128,9 +120,6 @@ struct CompletionTracker {
 
   /// True once every expected downloader finished.
   bool done() const { return completed >= expected; }
-
- private:
-  std::mutex mutex_;  ///< serializes `record` across fan-out lanes
 };
 
 /// Apply the hetero.radio mixed-range radios to an already-populated

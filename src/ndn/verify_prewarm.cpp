@@ -5,20 +5,11 @@
 
 namespace dapes::ndn {
 
-namespace {
-
-/// The lane's pre-bind active cache, restored by unbind_worker. One slot
-/// suffices: bind/unbind are properly nested per thread (one chain at a
-/// time per lane, and the medium never re-enters a phase from a phase).
-thread_local crypto::VerifyCache* t_saved_cache = nullptr;
-
-}  // namespace
-
 void DataVerifyPrewarm::stage(const sim::FramePtr* frames, size_t count) {
   staged_.clear();
 
   // Collect the decodable Data frames, deduplicating by payload pointer:
-  // retransmissions inside one batch can share a frame buffer, and one
+  // frames staged together can share a buffer (retransmissions), and one
   // staged entry serves every transmission of it.
   for (size_t i = 0; i < count; ++i) {
     if (!frames[i]) continue;
@@ -90,9 +81,8 @@ void DataVerifyPrewarm::commit(const sim::Frame& frame) {
     if (s.key != frame.payload.data()) continue;
     const common::BufferSlice& wire = s.data.wire();
     const common::BytesView content = s.data.content();
-    // The cached/fresh flag is decided here, at commit time: stage runs
-    // per frame on the serial path but per batch on the parallel one, so
-    // a stage-time flag would differ between bit-identical runs.
+    // The cached/fresh flag is decided here, at commit time, against the
+    // cache state the receivers are about to read.
     const bool digest_cached =
         cache_.lookup_digest(content.data(), content.size()).has_value();
     const bool mac_cached =
@@ -105,15 +95,6 @@ void DataVerifyPrewarm::commit(const sim::Frame& frame) {
                       static_cast<uint64_t>(wire.size()));
     return;
   }
-}
-
-void DataVerifyPrewarm::bind_worker() {
-  t_saved_cache = crypto::set_active_verify_cache(&cache_);
-}
-
-void DataVerifyPrewarm::unbind_worker() {
-  crypto::set_active_verify_cache(t_saved_cache);
-  t_saved_cache = nullptr;
 }
 
 }  // namespace dapes::ndn

@@ -7,25 +7,21 @@
 /// bytes N times. This hook plugs into `sim::Medium`'s delivery path
 /// (sim::DeliveryPrewarm) and does the cryptographic work once per frame:
 ///
-///   * `stage` decodes each staged Data frame, batch-hashes the content
-///     payloads through the multi-buffer SHA-256 engine (sha256_many —
-///     4/8 frames per SIMD pass when same-instant deliveries batch up
-///     under the phase-parallel engine), and computes the MAC verdict
-///     against the trust keychain. Reads the cache, never writes it.
+///   * `stage` decodes each staged Data frame, hashes the content
+///     payloads through sha256_many (the medium stages one frame per
+///     delivery; callers staging several get 4/8 frames per SIMD pass),
+///     and computes the MAC verdict against the trust keychain. Reads
+///     the cache, never writes it.
 ///   * `commit` publishes the digest and verdict into the trial's
 ///     crypto::VerifyCache, keyed on the shared frame buffer, and emits
 ///     one `crypto.prewarm` trace event per Data frame with a
-///     commit-time cached/fresh flag (see trace/events.hpp for why the
-///     flag must be decided at commit time).
-///   * `bind_worker`/`unbind_worker` install the cache as the fan-out
-///     lane's active cache so `Data::verify` and
-///     `crypto::cached_content_digest` inside the protocol callbacks hit
-///     it; the lane's previous thread-local state is restored on unbind.
+///     commit-time cached/fresh flag (see trace/events.hpp).
 ///
 /// Receivers then serve both the content digest and the MAC verdict from
-/// the cache (ndn::Data::verify, core::Metadata::verify_packet). The
-/// cache is exact — results with the prewarm on or off are identical;
-/// test_verify_cache asserts it trial-for-trial.
+/// the cache (ndn::Data::verify, core::Metadata::verify_packet), which
+/// the harness installs on the trial thread with crypto::VerifyCacheScope.
+/// The cache is exact — results with the prewarm on or off are
+/// identical; test_verify_cache asserts it trial-for-trial.
 #pragma once
 
 #include <vector>
@@ -48,8 +44,6 @@ class DataVerifyPrewarm : public sim::DeliveryPrewarm {
 
   void stage(const sim::FramePtr* frames, size_t count) override;
   void commit(const sim::Frame& frame) override;
-  void bind_worker() override;
-  void unbind_worker() override;
 
  private:
   /// One staged Data frame: the decoded packet (zero-copy views into the

@@ -14,8 +14,8 @@
 //     closed form.
 //  2. Pure-function determinism. Link state is a pure function of
 //     (seed, pair, time) — repeatable, symmetric in the pair — and the
-//     whole stack stays bit-identical across grid-vs-brute, --jobs
-//     1-vs-8 and --trial-threads 1/2/4 for every model combination.
+//     whole stack stays bit-identical across grid-vs-brute and --jobs
+//     1-vs-4/8 for every model combination.
 //  3. The harness closes the link_seed foot-gun: Topology always
 //     installs a per-trial link_seed (distinct across trial seeds) when
 //     the caller leaves the field at 0.
@@ -451,8 +451,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BurstStackEquivalence,
 }  // namespace dapes::sim
 
 // ---------------------------------------------------------------------
-// 6. Harness-level determinism: --jobs and --trial-threads identity for
-// the new models, and the link_seed foot-gun closure.
+// 6. Harness-level determinism: --jobs identity for the new models, and
+// the link_seed foot-gun closure.
 // ---------------------------------------------------------------------
 
 namespace dapes::harness {
@@ -522,19 +522,19 @@ std::vector<StackCombo> stack_combos() {
   };
 }
 
-TEST(BurstStackEngines, TrialThreadsOneTwoFourMatchSerialExactly) {
+TEST(BurstStackEngines, EveryComboIdenticalAcrossJobs) {
   uint64_t seed = 3;
   for (const StackCombo& combo : stack_combos()) {
     SCOPED_TRACE(combo.label);
     ScenarioParams p = stack_params(seed++);
     combo.apply(p);
-    TrialResult serial = run_trial(ProtocolNames::kLossSweep, p);
-    ASSERT_GT(serial.transmissions, 0u);
-    for (int lanes : {1, 2, 4}) {
-      SCOPED_TRACE(lanes);
-      ScenarioParams q = p;
-      q.trial_threads = lanes;
-      expect_equal(serial, run_trial(ProtocolNames::kLossSweep, q));
+    const auto serial = TrialRunner(1).run(ProtocolNames::kLossSweep, p, 2);
+    const auto parallel = TrialRunner(4).run(ProtocolNames::kLossSweep, p, 2);
+    ASSERT_EQ(serial.size(), parallel.size());
+    ASSERT_GT(serial[0].transmissions, 0u);
+    for (size_t t = 0; t < serial.size(); ++t) {
+      SCOPED_TRACE(t);
+      expect_equal(serial[t], parallel[t]);
     }
   }
 }

@@ -11,7 +11,7 @@
 //     in its strongest testable form.
 //   * Churn determinism — under real churn (leaves, crashes, flash
 //     crowd, liars) the trial is bit-identical between grid and brute
-//     media, between --jobs 1 and 8, and across --trial-threads 0/1/2/4.
+//     media, and between --jobs 1 and 8 (trace files: --jobs 1 vs 4).
 //   * Graceful degradation — adversarial bitmap liars never stall the
 //     honest swarm, and seeder departure after seeding still completes.
 //   * Lifecycle tracing — node.join / node.leave / fault.inject /
@@ -284,22 +284,6 @@ TEST(Faults, ChurnTrialIdenticalGridVsBrute) {
   }
 }
 
-TEST(Faults, ChurnTrialIdenticalAcrossTrialThreads) {
-  for (uint64_t seed : {2ull, 7ull}) {
-    SCOPED_TRACE(seed);
-    ScenarioParams p = churny_field(seed);
-    TrialResult serial = run_trial(ProtocolNames::kDapes, p);
-    ASSERT_GT(serial.transmissions, 0u);
-    for (int lanes : {1, 2, 4}) {
-      SCOPED_TRACE(lanes);
-      ScenarioParams q = p;
-      q.trial_threads = lanes;
-      TrialResult parallel = run_trial(ProtocolNames::kDapes, q);
-      expect_equal(serial, parallel);
-    }
-  }
-}
-
 TEST(Faults, ChurnTrialsIdenticalAcrossJobs) {
   ScenarioParams p = churny_field(3);
   const int trials = 4;
@@ -396,22 +380,24 @@ TEST(Faults, LifecycleEventsLandInTrace) {
             count(trace::EventType::kNodeLeave));
 }
 
-TEST(Faults, ChurnTraceByteIdenticalAcrossTrialThreads) {
-  TempDir dir("lanes");
+TEST(Faults, ChurnTraceByteIdenticalAcrossJobs) {
+  TempDir dir("jobs");
   ScenarioParams p = churny_field(8);
   p.trace.sink = "file";
+  const int trials = 4;
 
-  p.trial_threads = 0;
-  p.trace.path = (dir.path / "t0").string();
-  run_trial(ProtocolNames::kDapes, p);
+  p.trace.path = (dir.path / "j1").string();
+  TrialRunner(1).run(ProtocolNames::kDapes, p, trials);
+  p.trace.path = (dir.path / "j4").string();
+  TrialRunner(4).run(ProtocolNames::kDapes, p, trials);
 
-  p.trial_threads = 4;
-  p.trace.path = (dir.path / "t4").string();
-  run_trial(ProtocolNames::kDapes, p);
-
-  const std::string serial = slurp(dir.path / "t0");
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, slurp(dir.path / "t4"));
+  for (int t = 0; t < trials; ++t) {
+    SCOPED_TRACE(t);
+    const std::string suffix = ".t" + std::to_string(t);
+    const std::string serial = slurp(dir.path / ("j1" + suffix));
+    ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(serial, slurp(dir.path / ("j4" + suffix)));
+  }
 }
 
 }  // namespace

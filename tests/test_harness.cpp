@@ -2,9 +2,13 @@
 // trials (DAPES, Bithoc, Ekta, real-world scenarios) at a tiny scale.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "harness/metrics.hpp"
 #include "harness/realworld.hpp"
 #include "harness/scenario.hpp"
+#include "harness/topology.hpp"
 
 namespace dapes::harness {
 namespace {
@@ -54,6 +58,25 @@ TEST(Scenario, DapesTrialDeterministicForSeed) {
   TrialResult b = run_dapes_trial(tiny_params());
   EXPECT_EQ(a.transmissions, b.transmissions);
   EXPECT_DOUBLE_EQ(a.download_time_s, b.download_time_s);
+}
+
+TEST(Scenario, RejectsNonzeroTrialThreads) {
+  // trial_threads is a must-be-0 compatibility field: the phase-parallel
+  // engine it used to select is gone, and the error must say so.
+  ScenarioParams p = tiny_params();
+  for (int lanes : {1, 4, -1}) {
+    SCOPED_TRACE(lanes);
+    p.trial_threads = lanes;
+    try {
+      Topology topo(p, p.seed, "/collection", "/producer", "file-");
+      ADD_FAILURE() << "Topology accepted trial_threads=" << lanes;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("phase-parallel"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(run_dapes_trial(p), std::invalid_argument);
+  }
 }
 
 TEST(Scenario, BithocTrialCompletes) {

@@ -280,6 +280,35 @@ TEST_F(MediumTest, FullLossDropsEverything) {
   EXPECT_EQ(medium.stats().losses, 1u);
 }
 
+TEST_F(MediumTest, InFlightFrameSurvivesSenderTeardown) {
+  // Fault-layer teardown: the sender retires and its pending events are
+  // swept while its frame is on the air. The frame already left the
+  // antenna, so every receiver still gets it; the sender's completion
+  // callback must not fire. Fails if deliveries are owned by the sender.
+  Medium medium(sched, params(), common::Rng(1));
+  StationaryMobility near_d{{-10, 0}};
+  NodeId a = medium.add_node(&near_a, nullptr);
+  int received = 0;
+  medium.add_node(&near_b, [&](const FramePtr&, NodeId) { ++received; });
+  medium.add_node(&near_d, [&](const FramePtr&, NodeId) { ++received; });
+  bool completed = false;
+  bool timer_fired = false;
+  {
+    // Transmit from the sender's own context, as its radio does.
+    Scheduler::OwnerScope own(sched, a);
+    medium.transmit(frame(a),
+                    [&](const Medium::TxReport&) { completed = true; });
+    sched.schedule(Duration::milliseconds(1), [&] { timer_fired = true; });
+  }
+  medium.retire_node(a);
+  EXPECT_EQ(sched.cancel_for_node(a), 1u);  // the timer, not the delivery
+  sched.run();
+  EXPECT_EQ(received, 2);
+  EXPECT_EQ(medium.stats().deliveries, 2u);
+  EXPECT_FALSE(completed);
+  EXPECT_FALSE(timer_fired);
+}
+
 TEST_F(MediumTest, OverlappingTransmissionsCollide) {
   auto p = params();
   p.channel.capture_ratio = 0.0;  // disable capture: any overlap kills
