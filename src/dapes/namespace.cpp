@@ -24,15 +24,15 @@ Name discovery_response_name(const Name& query, const std::string& peer_id) {
 bool is_discovery_query(const Name& name) {
   if (name.size() != 3) return false;
   if (!discovery_prefix().is_prefix_of(name)) return false;
-  std::string last = name[2].to_string();
-  return last.size() > 2 && last[0] == 'q' && last[1] == '-';
+  std::string_view last = name[2].str();
+  return last.size() > 2 && last.starts_with("q-");
 }
 
 Name bitmap_prefix(const Name& collection) {
   Name n;
   n.append(kAppPrefix).append(kBitmapComponent);
-  for (const auto& c : collection.components()) {
-    n.append(c);
+  for (size_t i = 0; i < collection.size(); ++i) {
+    n.append(collection[i]);
   }
   return n;
 }
@@ -68,19 +68,19 @@ std::optional<PacketNameParts> parse_packet_name(const Name& name,
 }
 
 bool is_control_name(const Name& name) {
-  return !name.empty() && name[0].to_string() == kAppPrefix;
+  return !name.empty() && name[0].str() == kAppPrefix;
 }
 
 bool is_metadata_name(const Name& name) {
   for (size_t i = 0; i < name.size(); ++i) {
-    if (name[i].to_string() == kMetadataComponent) return i > 0;
+    if (name[i].str() == kMetadataComponent) return i > 0;
   }
   return false;
 }
 
 std::optional<Name> collection_of_metadata_name(const Name& name) {
   for (size_t i = 1; i < name.size(); ++i) {
-    if (name[i].to_string() == kMetadataComponent) {
+    if (name[i].str() == kMetadataComponent) {
       return name.prefix(i);
     }
   }

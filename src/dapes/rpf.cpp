@@ -6,7 +6,30 @@
 namespace dapes::core {
 
 std::vector<size_t> rank_packets(const std::vector<uint32_t>& have_counts,
-                                 size_t bitmap_count,
+                                 const std::vector<size_t>& order) {
+  const size_t n = have_counts.size();
+  uint32_t max_count = 0;
+  for (uint32_t c : have_counts) max_count = std::max(max_count, c);
+  // start[c] = first output slot of the packets with c holders: counts
+  // 1..max ascending (rarest available first), then the unavailable.
+  std::vector<size_t> start(size_t{max_count} + 1, 0);
+  for (uint32_t c : have_counts) ++start[c];
+  size_t next = 0;
+  for (size_t c = 1; c <= max_count; ++c) {
+    const size_t bucket = start[c];
+    start[c] = next;
+    next += bucket;
+  }
+  start[0] = next;
+  // Visiting packets in tie-break order keeps each bucket in that order.
+  std::vector<size_t> ranked(n);
+  for (size_t idx : order) ranked[start[have_counts[idx]]++] = idx;
+  return ranked;
+}
+
+namespace ref {
+
+std::vector<size_t> rank_packets(const std::vector<uint32_t>& have_counts,
                                  const std::vector<size_t>& order) {
   const size_t n = have_counts.size();
   // order_rank[i] = position of packet i in the tie-break permutation.
@@ -26,9 +49,10 @@ std::vector<size_t> rank_packets(const std::vector<uint32_t>& have_counts,
                      }
                      return order_rank[a] < order_rank[b];
                    });
-  (void)bitmap_count;
   return ranked;
 }
+
+}  // namespace ref
 
 namespace {
 
@@ -50,7 +74,7 @@ class RpfBase : public FetchStrategy {
                                     const std::set<size_t>& in_flight) override {
     if (total_ == 0) return std::nullopt;
     if (dirty_) {
-      plan_ = rank_packets(have_counts_, bitmap_count_, order_);
+      plan_ = rank_packets(have_counts_, order_);
       plan_pos_ = 0;
       dirty_ = false;
     }

@@ -105,9 +105,19 @@ std::unique_ptr<FetchStrategy> make_fetch_strategy(RpfKind kind,
 
 /// Shared implementation detail, exposed for unit testing: rank packet
 /// indices by (available desc, rarity desc, order), where @p have_counts
-/// counts holders per packet and @p order is the tie-break permutation.
+/// counts holders per packet and @p order, a permutation of
+/// [0, have_counts.size()), is the tie-break order. One bucket pass in
+/// tie-break order: holder counts 1..max ascending, then count 0.
 std::vector<size_t> rank_packets(const std::vector<uint32_t>& have_counts,
-                                 size_t bitmap_count,
                                  const std::vector<size_t>& order);
+
+namespace ref {
+
+/// Reference rank_packets: a comparison stable_sort of the whole index
+/// range, retained as the oracle the bucket pass is tested against.
+std::vector<size_t> rank_packets(const std::vector<uint32_t>& have_counts,
+                                 const std::vector<size_t>& order);
+
+}  // namespace ref
 
 }  // namespace dapes::core

@@ -9,11 +9,7 @@ namespace {
 /// True iff @p candidate equals the first @p depth components of @p name.
 bool equals_prefix_of(const NameTree::Entry& candidate, const Name& name,
                       size_t depth) {
-  if (candidate.name.size() != depth) return false;
-  for (size_t i = 0; i < depth; ++i) {
-    if (candidate.name[i] != name[i]) return false;
-  }
-  return true;
+  return candidate.name.size() == depth && candidate.name.is_prefix_of(name);
 }
 
 }  // namespace
@@ -87,10 +83,10 @@ NameTree::Entry* NameTree::lookup(const Name& name) {
     if (e != nullptr) {
       // Keep children sorted by last component so trie walks enumerate
       // names in std::map order.
-      const Component& key = child->name[d - 1];
+      ComponentView key = child->name[d - 1];
       auto pos = std::lower_bound(
           e->children.begin(), e->children.end(), key,
-          [d](const Entry* a, const Component& c) {
+          [d](const Entry* a, ComponentView c) {
             return a->name[d - 1] < c;
           });
       e->children.insert(pos, child);
@@ -116,10 +112,10 @@ void NameTree::cleanup(Entry* entry) {
     // exactly on this entry.
     if (parent != nullptr) {
       const size_t d = entry->name.size();
-      const Component& key = entry->name[d - 1];
+      ComponentView key = entry->name[d - 1];
       auto it = std::lower_bound(
           parent->children.begin(), parent->children.end(), key,
-          [d](const Entry* a, const Component& c) {
+          [d](const Entry* a, ComponentView c) {
             return a->name[d - 1] < c;
           });
       parent->children.erase(it);

@@ -19,26 +19,26 @@ CodecCounters& codec_counters() {
 
 void append_name(tlv::Writer& w, const Name& name) {
   auto nested = w.begin(tlv::kName);
-  for (const auto& c : name.components()) {
-    w.tlv(tlv::kGenericNameComponent,
-          BytesView(c.value().data(), c.value().size()));
+  for (size_t i = 0; i < name.size(); ++i) {
+    w.tlv(tlv::kGenericNameComponent, name[i].value());
   }
   w.end(nested);
 }
 
 Name parse_name(BytesView value) {
+  // Warm the (empty) name's hash cache first: each append then copies
+  // the component bytes into the name's buffer and extends the cache, so
+  // every decoded packet arrives at the data plane ready for hash probes.
   Name name;
+  name.hash();
   tlv::Reader reader(value);
   while (!reader.at_end()) {
     auto e = reader.read_element();
     if (e.type != tlv::kGenericNameComponent) {
       throw tlv::ParseError("name: unexpected component type");
     }
-    name.append(Component(Bytes(e.value.begin(), e.value.end())));
+    name.append(ComponentView(e.value));
   }
-  // Seed the incremental hash cache while the component bytes are hot:
-  // every decoded packet arrives at the data plane ready for hash probes.
-  name.hash();
   return name;
 }
 

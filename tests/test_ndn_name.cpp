@@ -117,9 +117,9 @@ size_t reference_hash(const Name& name) {
     h ^= b;
     h *= 1099511628211ULL;
   };
-  for (const auto& c : name.components()) {
+  for (size_t i = 0; i < name.size(); ++i) {
     mix(0xff);
-    for (uint8_t b : c.value()) mix(b);
+    for (uint8_t b : name[i].value()) mix(b);
   }
   return h;
 }

@@ -1,6 +1,9 @@
 // Unit tests for the RPF fetch strategies (paper §IV-E).
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "common/rng.hpp"
 #include "dapes/rpf.hpp"
 
 namespace dapes::core {
@@ -27,15 +30,44 @@ TEST(RankPackets, RarestFirstAmongAvailable) {
   // packet 3 by nobody.
   std::vector<uint32_t> counts = {3, 1, 2, 0};
   std::vector<size_t> order = {0, 1, 2, 3};
-  auto ranked = rank_packets(counts, 3, order);
+  auto ranked = rank_packets(counts, order);
   EXPECT_EQ(ranked, (std::vector<size_t>{1, 2, 0, 3}));
 }
 
 TEST(RankPackets, TieBreakFollowsOrder) {
   std::vector<uint32_t> counts = {1, 1, 1};
   std::vector<size_t> order = {2, 0, 1};
-  auto ranked = rank_packets(counts, 1, order);
+  auto ranked = rank_packets(counts, order);
   EXPECT_EQ(ranked, (std::vector<size_t>{2, 0, 1}));
+}
+
+// The bucket pass must reproduce the reference stable_sort exactly.
+TEST(RankPackets, MatchesReferenceSort) {
+  auto check = [](const std::vector<uint32_t>& counts,
+                  const std::vector<size_t>& order) {
+    EXPECT_EQ(rank_packets(counts, order), ref::rank_packets(counts, order));
+  };
+  common::Rng rng(0x5EED);
+  for (int round = 0; round < 300; ++round) {
+    const size_t n = rng.next_below(300);
+    const uint32_t max_count = static_cast<uint32_t>(rng.next_below(12));
+    std::vector<uint32_t> counts(n);
+    for (auto& c : counts) {
+      c = static_cast<uint32_t>(rng.next_below(max_count + 1));
+    }
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    if (rng.chance(0.8)) rng.shuffle(order);
+    check(counts, order);
+  }
+  for (size_t n : {size_t{0}, size_t{1}, size_t{64}}) {
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    rng.shuffle(order);
+    check(std::vector<uint32_t>(n, 0), order);  // nothing available
+    check(std::vector<uint32_t>(n, 3), order);  // all equally rare
+    check(std::vector<uint32_t>(n, 1), order);
+  }
 }
 
 TEST(LocalRpf, SelectsRarestAvailable) {
