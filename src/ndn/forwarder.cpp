@@ -1,7 +1,6 @@
 #include "ndn/forwarder.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "common/logging.hpp"
 #include "trace/trace.hpp"
@@ -79,16 +78,22 @@ void Forwarder::on_incoming_interest(FaceId in_face, Interest interest) {
     interest.set_hop_limit(interest.hop_limit() - 1);
   }
 
+  // One probe resolves the name for every stage below.
+  const Name& name = interest.name();
+  NameTree::Entry* entry = tree_->find_exact(name);
+
   // Loop detection by (name, nonce).
-  if (pit_.has_nonce(interest.name(), interest.nonce())) {
+  if (pit_.has_nonce(entry, name, interest.nonce())) {
     ++stats_.loops_dropped;
-    DAPES_TRACE_NAMED(trace::EventType::kPitLoopDrop, interest.name(),
+    DAPES_TRACE_NAMED(trace::EventType::kPitLoopDrop, name,
                       static_cast<uint64_t>(interest.nonce()));
     return;
   }
 
-  // Content Store.
-  if (auto cached = cs_.find(interest.name(), interest.can_be_prefix(), sched_.now())) {
+  // Content Store (an expired hit is erased, which may prune the entry:
+  // find() hands back the entry that is current afterwards).
+  if (auto cached = cs_.find(entry, name, interest.can_be_prefix(),
+                             sched_.now())) {
     ++stats_.cs_hits;
     if (in != nullptr) {
       ++stats_.data_forwarded;
@@ -98,10 +103,10 @@ void Forwarder::on_incoming_interest(FaceId in_face, Interest interest) {
   }
 
   // PIT.
-  PitEntry* existing = pit_.find(interest.name());
-  if (existing != nullptr) {
+  if (entry != nullptr && entry->pit != nullptr) {
+    PitEntry* existing = entry->pit.get();
     ++stats_.pit_aggregated;
-    DAPES_TRACE_NAMED(trace::EventType::kPitAggregate, interest.name());
+    DAPES_TRACE_NAMED(trace::EventType::kPitAggregate, name);
     existing->nonces.insert(interest.nonce());
     if (std::find(existing->in_faces.begin(), existing->in_faces.end(),
                   in_face) == existing->in_faces.end()) {
@@ -110,16 +115,18 @@ void Forwarder::on_incoming_interest(FaceId in_face, Interest interest) {
     return;
   }
 
-  PitEntry& entry = pit_.insert(interest.name());
-  entry.can_be_prefix = interest.can_be_prefix();
-  entry.in_faces.push_back(in_face);
-  entry.nonces.insert(interest.nonce());
-  entry.expiry = sched_.now() + interest.lifetime();
-  Name name = interest.name();
-  entry.expiry_event =
-      sched_.schedule(interest.lifetime(), [this, name] { on_pit_expiry(name); });
+  if (entry == nullptr) entry = tree_->insert(name);
+  PitEntry& pit_entry = pit_.insert(entry);
+  pit_entry.can_be_prefix = interest.can_be_prefix();
+  pit_entry.in_faces.push_back(in_face);
+  pit_entry.nonces.insert(interest.nonce());
+  pit_entry.expiry = sched_.now() + interest.lifetime();
+  // (this, handle) fits std::function's inline buffer: no allocation.
+  const NameTree::Handle handle = tree_->handle_of(entry);
+  pit_entry.expiry_event = sched_.schedule(
+      interest.lifetime(), [this, handle] { on_pit_expiry(handle); });
 
-  strategy_->after_receive_interest(*this, in_face, interest, entry);
+  strategy_->after_receive_interest(*this, in_face, interest, pit_entry);
 }
 
 void Forwarder::on_incoming_data(FaceId in_face, const Data& data) {
@@ -131,62 +138,86 @@ void Forwarder::on_incoming_data(FaceId in_face, const Data& data) {
     strategy_->on_overhear_data(*this, in_face, data);
   }
 
-  std::vector<Name> matched = pit_.matches_for_data(data.name());
-  if (matched.empty()) {
+  // One walk resolves the name: the deepest present prefix is the exact
+  // entry when the name is present, and its parent chain holds every
+  // CanBePrefix candidate.
+  const Name& name = data.name();
+  NameTree::Entry* longest = tree_->find_longest(name);
+  NameTree::Entry* exact =
+      (longest != nullptr && longest->depth() == name.size()) ? longest
+                                                               : nullptr;
+  PitMatches matched;
+  pit_.matches(longest, name.size(), matched);
+  if (matched.size() == 0) {
     ++stats_.unsolicited_data;
     if (strategy_->cache_unsolicited(*this, in_face, data)) {
-      cs_.insert(data, sched_.now());
+      cs_.insert(exact, data, sched_.now());
     }
     return;
   }
 
+  // Matched entries hold PIT state, so the CS insert (and an eviction it
+  // triggers) cannot prune them.
   if (options_.cache_solicited) {
-    cs_.insert(data, sched_.now());
+    cs_.insert(exact, data, sched_.now());
   }
 
   // Collect the union of downstream faces across all satisfied entries so
-  // a broadcast face transmits the Data at most once. A broadcast face
-  // that is both the Data's in-face and a recorded downstream still gets
-  // the Data when we relayed the Interest ourselves (multi-hop reverse
-  // path over a single radio).
-  std::set<FaceId> out_faces;
-  for (const Name& name : matched) {
-    PitEntry* entry = pit_.find(name);
-    if (entry == nullptr) continue;
+  // a broadcast face transmits the Data at most once, in ascending face
+  // order. A broadcast face that is both the Data's in-face and a
+  // recorded downstream still gets the Data when we relayed the Interest
+  // ourselves (multi-hop reverse path over a single radio).
+  detail::InlineVec<FaceId, 8> out_faces;
+  auto add_out_face = [&out_faces](FaceId f) {
+    for (size_t i = 0; i < out_faces.size(); ++i) {
+      if (out_faces[i] == f) return;
+    }
+    out_faces.push_back(f);
+    for (size_t i = out_faces.size() - 1; i > 0 && out_faces[i - 1] > f; --i) {
+      std::swap(out_faces[i - 1], out_faces[i]);
+    }
+  };
+  for (size_t m = 0; m < matched.size(); ++m) {
+    NameTree::Entry* e = matched[m];
+    PitEntry* entry = e->pit.get();
     for (FaceId f : entry->in_faces) {
       if (f != in_face) {
-        out_faces.insert(f);
+        add_out_face(f);
         continue;
       }
       Face* downstream = face(f);
       if (entry->relayed_to_network && downstream != nullptr &&
           !downstream->is_local()) {
-        out_faces.insert(f);
+        add_out_face(f);
       }
     }
     for (uint32_t nonce : entry->nonces) {
-      pit_.record_dead_nonce(name, nonce);
+      pit_.record_dead_nonce(*e, nonce);
     }
-    DAPES_TRACE_NAMED(trace::EventType::kPitSatisfy, name);
+    DAPES_TRACE_NAMED(trace::EventType::kPitSatisfy, e->name);
     sched_.cancel(entry->expiry_event);
-    pit_.erase(name);
+    // Pruning stops at the next (shallower) match: it holds PIT state.
+    pit_.erase(e);
   }
 
-  for (FaceId out : out_faces) {
-    send_data_to(out, data);
+  for (size_t i = 0; i < out_faces.size(); ++i) {
+    send_data_to(out_faces[i], data);
   }
 }
 
-void Forwarder::on_pit_expiry(Name name) {
+void Forwarder::on_pit_expiry(NameTree::Handle pit_entry) {
   trace::NodeScope trace_scope(trace_node_);
-  PitEntry* entry = pit_.find(name);
-  if (entry == nullptr) return;
+  // The handle fails once the entry was pruned, also when its storage
+  // went to another name since.
+  NameTree::Entry* e = tree_->resolve(pit_entry);
+  if (e == nullptr || e->pit == nullptr) return;
   ++stats_.pit_timeouts;
-  DAPES_TRACE_NAMED(trace::EventType::kPitExpire, name);
-  for (uint32_t nonce : entry->nonces) {
-    pit_.record_dead_nonce(name, nonce);
+  DAPES_TRACE_NAMED(trace::EventType::kPitExpire, e->name);
+  for (uint32_t nonce : e->pit->nonces) {
+    pit_.record_dead_nonce(*e, nonce);
   }
-  pit_.erase(name);
+  const Name name = e->name;  // the erase may prune e
+  pit_.erase(e);
   strategy_->on_interest_timeout(*this, name);
 }
 

@@ -8,6 +8,12 @@
 ///              miss -> unsolicited: strategy may cache (pure forwarders
 ///              do).
 ///
+/// Each packet's name is resolved against the shared NameTree once, and
+/// that one entry serves every stage (nonce check, CS, PIT, CS insert)
+/// through the tables' entry-level API; a stage that can prune the entry
+/// (CS expiry, eviction) hands back the re-resolved one. A PIT expiry
+/// timer holds a NameTree::Handle on its entry, not a copy of the name.
+///
 /// The ForwardingStrategy hook is where DAPES lives at the network layer:
 /// pure-forwarder probabilistic relay + suppression timers and the
 /// DAPES-intermediate knowledge-driven forward/suppress logic (paper §V)
@@ -42,7 +48,9 @@ class ForwardingStrategy {
   virtual void on_interest_timeout(Forwarder& /*fw*/, const Name& /*name*/) {}
 
   /// Data arrived with no matching PIT entry; return true to cache it
-  /// anyway (pure forwarders overhear-and-cache, paper §V-A).
+  /// anyway (pure forwarders overhear-and-cache, paper §V-A). Runs
+  /// mid-pipeline, holding the data name's tree entry: it must not
+  /// modify the forwarder's tables.
   virtual bool cache_unsolicited(Forwarder& /*fw*/, FaceId /*in_face*/,
                                  const Data& /*data*/) {
     return false;
@@ -143,7 +151,7 @@ class Forwarder {
  private:
   void on_incoming_interest(FaceId in_face, Interest interest);
   void on_incoming_data(FaceId in_face, const Data& data);
-  void on_pit_expiry(Name name);
+  void on_pit_expiry(NameTree::Handle pit_entry);
 
   sim::Scheduler& sched_;
   Options options_;

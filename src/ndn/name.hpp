@@ -91,6 +91,8 @@ class InlineVec {
   const T* data() const { return on_heap() ? heap_ : inline_; }
   /// Unchecked element access.
   const T& operator[](size_t i) const { return data()[i]; }
+  /// Unchecked mutable element access.
+  T& operator[](size_t i) { return mutable_data()[i]; }
   /// The last element; the array must not be empty.
   const T& back() const { return data()[size_ - 1]; }
 

@@ -1,5 +1,7 @@
 #include "ndn/tables.hpp"
 
+#include <bit>
+
 #include "trace/trace.hpp"
 
 namespace dapes::ndn {
@@ -47,31 +49,53 @@ void ContentStore::erase(NameTree::Entry* e) {
   tree_->cleanup(e);
 }
 
-bool ContentStore::refresh(const Name& name, TimePoint expires) {
-  NameTree::Entry* e = tree_->find_exact(name);
-  if (e == nullptr || e->cs == nullptr) return false;
+void ContentStore::refresh(NameTree::Entry* e, TimePoint expires) {
   e->cs->expires = expires;
   touch(e);
-  return true;
 }
 
-void ContentStore::insert(DataPtr data, TimePoint now) {
-  if (!data) return;
-  const uint64_t content_bytes = data->content().size();
-  if (refresh(data->name(), now + data->freshness())) {
-    DAPES_TRACE_NAMED(trace::EventType::kCsInsert, data->name(),
-                      content_bytes, /*refreshed=*/1);
+void ContentStore::insert(NameTree::Entry* entry, const Data& data,
+                          TimePoint now) {
+  // A refresh of an existing name allocates nothing (and, unlike the
+  // shared-handle overload, records no trace event).
+  if (entry != nullptr && entry->cs != nullptr) {
+    refresh(entry, now + data.freshness());
     return;
   }
+  store(entry, std::make_shared<const Data>(data), now);
+}
+
+void ContentStore::insert(NameTree::Entry* entry, DataPtr data,
+                          TimePoint now) {
+  if (!data) return;
+  if (entry != nullptr && entry->cs != nullptr) {
+    refresh(entry, now + data->freshness());
+    DAPES_TRACE_NAMED(trace::EventType::kCsInsert, data->name(),
+                      static_cast<uint64_t>(data->content().size()),
+                      /*refreshed=*/1);
+    return;
+  }
+  store(entry, std::move(data), now);
+}
+
+void ContentStore::store(NameTree::Entry* e, DataPtr data, TimePoint now) {
+  const uint64_t content_bytes = data->content().size();
   if (size_ >= capacity_) {
-    evict_one();
+    // Eviction can prune e (a payload-free ancestor of the victim).
+    if (e != nullptr) {
+      const NameTree::Handle held = tree_->handle_of(e);
+      evict_one();
+      e = tree_->resolve(held);
+    } else {
+      evict_one();
+    }
   }
   TimePoint expires = now + data->freshness();
-  NameTree::Entry* e = tree_->lookup(data->name());
+  if (e == nullptr) e = tree_->insert(data->name());
   DAPES_TRACE_NAMED(trace::EventType::kCsInsert, data->name(), content_bytes,
                     /*refreshed=*/0);
   e->cs = std::make_unique<NameTree::CsState>();
-  content_bytes_ += data->content().size();
+  content_bytes_ += content_bytes;
   e->cs->data = std::move(data);
   e->cs->expires = expires;
   for (NameTree::Entry* a = e; a != nullptr; a = a->parent) ++a->cs_in_subtree;
@@ -79,17 +103,19 @@ void ContentStore::insert(DataPtr data, TimePoint now) {
   ++size_;
 }
 
-DataPtr ContentStore::find(const Name& name, bool can_be_prefix,
-                           TimePoint now) {
+DataPtr ContentStore::find(NameTree::Entry*& entry, const Name& name,
+                           bool can_be_prefix, TimePoint now) {
   if (!can_be_prefix) {
-    NameTree::Entry* e = tree_->find_exact(name);
+    NameTree::Entry* e = entry;
     if (e == nullptr || e->cs == nullptr) {
       DAPES_TRACE_NAMED(trace::EventType::kCsMiss, name);
       return nullptr;
     }
     if (e->cs->expires <= now) {
       DAPES_TRACE_NAMED(trace::EventType::kCsExpire, name);
+      const NameTree::Handle held = tree_->handle_of(e);
       erase(e);
+      entry = tree_->resolve(held);  // nullptr if the erase pruned it
       DAPES_TRACE_NAMED(trace::EventType::kCsMiss, name);
       return nullptr;
     }
@@ -104,16 +130,22 @@ DataPtr ContentStore::find(const Name& name, bool can_be_prefix,
   // seen before the hit are evicted, as the reference does while
   // scanning. (Eviction is deferred until the scan ends so tree cleanup
   // cannot disturb the traversal — the same entries end up erased.)
-  NameTree::Entry* base = tree_->find_exact(name);
+  NameTree::Entry* base = entry;
   if (base == nullptr || base->cs_in_subtree == 0) {
     DAPES_TRACE_NAMED(trace::EventType::kCsMiss, name);
     return nullptr;
   }
   std::vector<NameTree::Entry*> expired;
   NameTree::Entry* hit = scan_prefix(base, now, expired);
-  for (NameTree::Entry* e : expired) {
-    DAPES_TRACE_NAMED(trace::EventType::kCsExpire, e->cs->data->name());
-    erase(e);
+  if (!expired.empty()) {
+    // Erasing a subtree's last CS state can prune base too; the hit
+    // holds CS state, so it survives.
+    const NameTree::Handle held = tree_->handle_of(base);
+    for (NameTree::Entry* e : expired) {
+      DAPES_TRACE_NAMED(trace::EventType::kCsExpire, e->cs->data->name());
+      erase(e);
+    }
+    entry = tree_->resolve(held);
   }
   if (hit == nullptr) {
     DAPES_TRACE_NAMED(trace::EventType::kCsMiss, name);
@@ -131,7 +163,7 @@ NameTree::Entry* ContentStore::scan_prefix(
     if (e->cs->expires > now) return e;
     expired.push_back(e);
   }
-  for (NameTree::Entry* child : e->children) {
+  for (NameTree::Entry* child : e->sorted_children()) {
     // Skipping CS-free subtrees (PIT/FIB-only state) does not change
     // which CS entries are visited or their order.
     if (child->cs_in_subtree == 0) continue;
@@ -149,72 +181,129 @@ void ContentStore::evict_one() {
 
 // -------------------------------------------------------------------- Pit
 
-PitEntry* Pit::find(const Name& name) {
-  NameTree::Entry* e = tree_->find_exact(name);
-  return (e == nullptr) ? nullptr : e->pit.get();
-}
-
 std::vector<Name> Pit::matches_for_data(const Name& data_name) const {
+  PitMatches found;
+  matches(tree_->find_longest(data_name), data_name.size(), found);
   std::vector<Name> out;
-  // Exact match.
-  if (NameTree::Entry* e = tree_->find_exact(data_name);
-      e != nullptr && e->pit != nullptr) {
-    out.push_back(data_name);
-  }
-  // CanBePrefix entries: every proper prefix of data_name, probed off its
-  // cached per-prefix hashes — O(depth), no prefix Name materialized
-  // unless it matches.
-  for (size_t n = data_name.size(); n-- > 0;) {
-    NameTree::Entry* e = tree_->find_prefix(data_name, n);
-    if (e != nullptr && e->pit != nullptr && e->pit->can_be_prefix) {
-      out.push_back(e->pit->name);
-    }
-  }
+  out.reserve(found.size());
+  for (size_t i = 0; i < found.size(); ++i) out.push_back(found[i]->name);
   return out;
 }
 
-PitEntry& Pit::insert(const Name& name) {
-  NameTree::Entry* e = tree_->lookup(name);
-  if (e->pit == nullptr) {
-    e->pit = std::make_unique<PitEntry>();
-    e->pit->name = name;
-    ++size_;
-    DAPES_TRACE_NAMED(trace::EventType::kPitInsert, name);
+void Pit::matches(NameTree::Entry* longest, size_t depth,
+                  PitMatches& out) const {
+  // Every present prefix of the data name is an ancestor of the deepest
+  // one, so the parent chain visits exactly the entries the reference
+  // probes, deepest first: the exact match (any flags), then CanBePrefix
+  // entries on proper prefixes.
+  NameTree::Entry* e = longest;
+  if (e != nullptr && e->depth() == depth) {
+    if (e->pit != nullptr) out.push_back(e);
+    e = e->parent;
   }
-  return *e->pit;
+  for (; e != nullptr; e = e->parent) {
+    if (e->pit != nullptr && e->pit->can_be_prefix) out.push_back(e);
+  }
 }
 
-void Pit::erase(const Name& name) {
-  NameTree::Entry* e = tree_->find_exact(name);
-  if (e == nullptr || e->pit == nullptr) return;
-  e->pit.reset();
+PitEntry& Pit::insert(NameTree::Entry* entry) {
+  if (entry->pit == nullptr) {
+    entry->pit = std::make_unique<PitEntry>();
+    entry->pit->name = entry->name;
+    ++size_;
+    DAPES_TRACE_NAMED(trace::EventType::kPitInsert, entry->name);
+  }
+  return *entry->pit;
+}
+
+void Pit::erase(NameTree::Entry* entry) {
+  entry->pit.reset();
   --size_;
-  tree_->cleanup(e);
+  tree_->cleanup(entry);
 }
 
-namespace {
-uint64_t nonce_fingerprint(const Name& name, uint32_t nonce) {
-  // name.hash() is cached — recording a dead nonce costs no re-hash.
-  return name.hash() ^ (0x9e3779b97f4a7c15ULL * nonce);
-}
-}  // namespace
-
-bool Pit::has_nonce(const Name& name, uint32_t nonce) const {
-  NameTree::Entry* e = tree_->find_exact(name);
-  if (e != nullptr && e->pit != nullptr && e->pit->nonces.contains(nonce)) {
+bool Pit::has_nonce(const NameTree::Entry* entry, const Name& name,
+                    uint32_t nonce) const {
+  if (entry != nullptr && entry->pit != nullptr &&
+      entry->pit->nonces.contains(nonce)) {
     return true;
   }
-  return dead_set_.contains(nonce_fingerprint(name, nonce));
+  // name.hash() is cached — the dead-nonce check costs no re-hash.
+  return dead_.contains(fingerprint(name.hash(), nonce));
 }
 
-void Pit::record_dead_nonce(const Name& name, uint32_t nonce) {
-  uint64_t fp = nonce_fingerprint(name, nonce);
-  if (!dead_set_.insert(fp).second) return;
-  dead_order_.push_back(fp);
-  if (dead_order_.size() > kDeadNonceCap) {
-    dead_set_.erase(dead_order_.front());
-    dead_order_.pop_front();
+bool Pit::DeadNonces::contains(uint64_t fp) const {
+  if (fp == 0) return has_zero_;
+  if (index_.empty()) return false;
+  const size_t mask = index_.size() - 1;
+  for (size_t i = home(fp); index_[i] != 0; i = (i + 1) & mask) {
+    if (index_[i] == fp) return true;
   }
+  return false;
+}
+
+void Pit::DeadNonces::record(uint64_t fp) {
+  if (contains(fp)) return;
+  if (count_ == kDeadNonceCap) {
+    // Full: the oldest fingerprint makes room (the reference appends,
+    // then drops the front — the same resulting set and order).
+    const uint64_t oldest = ring_[head_];
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
+    if (oldest == 0) {
+      has_zero_ = false;
+    } else {
+      index_erase(oldest);
+    }
+  } else if (count_ == ring_.size()) {
+    // Grow the ring, unrolling it so the oldest entry lands at 0.
+    std::vector<uint64_t> grown(ring_.empty() ? 16 : ring_.size() * 2);
+    for (size_t i = 0; i < count_; ++i) {
+      grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + count_) & (ring_.size() - 1)] = fp;
+  ++count_;
+  if (fp == 0) {
+    has_zero_ = true;
+    return;
+  }
+  // Load factor <= 1/2: at the cap the index holds 2 * kDeadNonceCap
+  // slots.
+  if (count_ * 2 > index_.size()) {
+    std::vector<uint64_t> old = std::move(index_);
+    index_.assign(old.empty() ? 32 : old.size() * 2, 0);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(index_.size()));
+    for (uint64_t v : old) {
+      if (v != 0) index_insert(v);
+    }
+  }
+  index_insert(fp);
+}
+
+void Pit::DeadNonces::index_insert(uint64_t fp) {
+  const size_t mask = index_.size() - 1;
+  size_t i = home(fp);
+  while (index_[i] != 0) i = (i + 1) & mask;
+  index_[i] = fp;
+}
+
+void Pit::DeadNonces::index_erase(uint64_t fp) {
+  const size_t mask = index_.size() - 1;
+  size_t hole = home(fp);
+  while (index_[hole] != fp) hole = (hole + 1) & mask;
+  // Backward-shift deletion, as in NameTree::unplace.
+  for (size_t j = (hole + 1) & mask; index_[j] != 0; j = (j + 1) & mask) {
+    const size_t h = home(index_[j]);
+    const bool stays = (hole < j) ? (hole < h && h <= j)
+                                  : (hole < h || h <= j);
+    if (stays) continue;
+    index_[hole] = index_[j];
+    hole = j;
+  }
+  index_[hole] = 0;
 }
 
 // -------------------------------------------------------------------- Fib
@@ -244,13 +333,13 @@ void Fib::remove_route(const Name& prefix, FaceId face) {
 }
 
 std::vector<FaceId> Fib::lookup(const Name& name) const {
-  // Longest prefix match: probe progressively shorter prefixes, each one
-  // a hash probe on the name's cached prefix hashes.
-  for (size_t n = name.size() + 1; n-- > 0;) {
-    NameTree::Entry* e = tree_->find_prefix(name, n);
-    if (e != nullptr && e->fib != nullptr && !e->fib->faces.empty()) {
+  // Longest prefix match: from the deepest present prefix up the parent
+  // links — every present prefix of the name is on that chain.
+  for (NameTree::Entry* e = tree_->find_longest(name); e != nullptr;
+       e = e->parent) {
+    if (e->fib != nullptr && !e->fib->faces.empty()) {
       DAPES_TRACE_NAMED(trace::EventType::kFibHit, name,
-                        static_cast<uint64_t>(n));
+                        static_cast<uint64_t>(e->depth()));
       return std::vector<FaceId>(e->fib->faces.begin(), e->fib->faces.end());
     }
   }

@@ -2,15 +2,27 @@
 /// NFD-lite data plane tables: Content Store, Pending Interest Table, and
 /// Forwarding Information Base (paper Fig. 1).
 ///
-/// All three are views over one shared NameTree (src/ndn/name_tree.hpp):
-/// exact lookups are a single hash probe on the Name's cached hash, prefix
-/// queries and longest-prefix match walk cached per-prefix hashes, and the
-/// CS LRU is an intrusive list of tree-entry pointers — no Name is copied
-/// or compared byte-by-byte on the forwarding path. Semantics are
-/// bit-identical to the retained std::map reference implementation
-/// (src/ndn/tables_ref.hpp); tests/test_name_tree.cpp proves it on
-/// randomized workloads. Sizes are bounded; the CS evicts LRU, which is
-/// what lets pure forwarders serve overheard data (paper §V-A) without
+/// All three are views over one shared NameTree (src/ndn/name_tree.hpp).
+/// Each table has two layers of API:
+///
+///   * entry-level methods take the tree entry of the packet's name. The
+///     Forwarder resolves a packet's name against the tree once and hands
+///     that entry to every stage (nonce check, CS, PIT, CS insert), so a
+///     packet costs one probe, not one per stage;
+///   * name-keyed methods (find/insert/erase by Name) are thin wrappers:
+///     one probe, then the entry-level method — there is one code path.
+///
+/// Prefix walks (PIT matches_for_data, FIB longest-prefix match) find the
+/// deepest present prefix and climb parent links; the CS LRU is an
+/// intrusive list of tree-entry pointers — no Name is copied or compared
+/// byte-by-byte on the forwarding path. The PIT's dead-nonce list is a
+/// flat FIFO: a fingerprint ring plus an open-addressing set, both grown
+/// with occupancy. Semantics are bit-identical to the retained std::map
+/// reference implementation (src/ndn/tables_ref.hpp);
+/// tests/test_name_tree.cpp proves it on randomized workloads, and
+/// tests/test_forwarder.cpp replays the name-keyed pipeline against the
+/// entry-level one. Sizes are bounded; the CS evicts LRU, which is what
+/// lets pure forwarders serve overheard data (paper §V-A) without
 /// unbounded memory.
 ///
 /// Standalone construction (`ContentStore cs;`) gives each table a private
@@ -19,9 +31,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "common/time.hpp"
@@ -51,16 +61,32 @@ class ContentStore {
   /// slice-sharing copy of the packet struct — not of its bytes); a
   /// refresh of an existing name allocates nothing.
   void insert(const Data& data, TimePoint now = TimePoint::zero()) {
-    if (refresh(data.name(), now + data.freshness())) return;
-    insert(std::make_shared<const Data>(data), now);
+    insert(tree_->find_exact(data.name()), data, now);
   }
   /// Insert (or refresh) an already-shared Data handle.
-  void insert(DataPtr data, TimePoint now = TimePoint::zero());
+  void insert(DataPtr data, TimePoint now = TimePoint::zero()) {
+    if (!data) return;
+    NameTree::Entry* entry = tree_->find_exact(data->name());
+    insert(entry, std::move(data), now);
+  }
 
   /// Exact-name lookup; @p can_be_prefix widens to "any data under name".
   /// Returns a shared handle (nullptr on miss).
   DataPtr find(const Name& name, bool can_be_prefix = false,
-               TimePoint now = TimePoint::zero());
+               TimePoint now = TimePoint::zero()) {
+    NameTree::Entry* entry = tree_->find_exact(name);
+    return find(entry, name, can_be_prefix, now);
+  }
+
+  /// insert(const Data&) given @p entry, the tree entry of the data's
+  /// name (nullptr when absent).
+  void insert(NameTree::Entry* entry, const Data& data, TimePoint now);
+  /// find() given @p entry, the tree entry of @p name (nullptr when
+  /// absent). Expired CS state met on the way is erased, which can prune
+  /// the entry itself, so @p entry is updated to stay the tree entry of
+  /// @p name (or nullptr).
+  DataPtr find(NameTree::Entry*& entry, const Name& name, bool can_be_prefix,
+               TimePoint now);
 
   /// Whether an entry with this exact name exists (expired or not).
   bool contains(const Name& name) const {
@@ -77,8 +103,14 @@ class ContentStore {
   size_t content_bytes() const { return content_bytes_; }
 
  private:
-  /// Bump an existing entry's expiry + LRU position; false on miss.
-  bool refresh(const Name& name, TimePoint expires);
+  /// insert(DataPtr) given @p entry, the tree entry of the data's name
+  /// (nullptr when absent).
+  void insert(NameTree::Entry* entry, DataPtr data, TimePoint now);
+  /// Bump @p e's expiry + LRU position (@p e holds CS state).
+  void refresh(NameTree::Entry* e, TimePoint expires);
+  /// Cache @p data under @p e, the data name's entry without CS state
+  /// (nullptr when absent), evicting the LRU entry when full.
+  void store(NameTree::Entry* e, DataPtr data, TimePoint now);
   void touch(NameTree::Entry* e);
   void evict_one();
   /// Drop the CS state of @p e (LRU unlink, byte accounting, tree
@@ -100,43 +132,103 @@ class ContentStore {
   NameTree::Entry* lru_tail_ = nullptr;
 };
 
+/// Tree entries holding the PIT entries one Data satisfies, exact match
+/// first (inline up to 8, deeper than any DAPES name).
+using PitMatches = detail::InlineVec<NameTree::Entry*, 8>;
+
 /// Pending Interest Table over the shared NameTree.
 class Pit {
  public:
+  /// Dead-nonce list capacity: beyond it the oldest fingerprint goes.
+  static constexpr size_t kDeadNonceCap = 8192;
+
   /// PIT on @p tree (a private tree when null).
   explicit Pit(std::shared_ptr<NameTree> tree = nullptr)
       : tree_(tree ? std::move(tree) : std::make_shared<NameTree>()) {}
 
   /// Find the entry with this exact name.
-  PitEntry* find(const Name& name);
+  PitEntry* find(const Name& name) {
+    NameTree::Entry* e = tree_->find_exact(name);
+    return (e == nullptr) ? nullptr : e->pit.get();
+  }
 
   /// All entries satisfied by data with @p data_name (exact match, plus
-  /// CanBePrefix entries whose name prefixes it). O(depth) hash probes on
-  /// the data name's cached prefix hashes.
+  /// CanBePrefix entries whose name prefixes it, deepest first).
   std::vector<Name> matches_for_data(const Name& data_name) const;
 
   /// Insert a new entry; returns a stable reference.
-  PitEntry& insert(const Name& name);
+  PitEntry& insert(const Name& name) { return insert(tree_->lookup(name)); }
 
   /// Remove the entry with this exact name (no-op when absent).
-  void erase(const Name& name);
+  void erase(const Name& name) {
+    NameTree::Entry* e = tree_->find_exact(name);
+    if (e != nullptr && e->pit != nullptr) erase(e);
+  }
   /// Live entries.
   size_t size() const { return size_; }
 
   /// True if @p nonce was already recorded anywhere for @p name
   /// (loop detection across live entries + dead-nonce history).
-  bool has_nonce(const Name& name, uint32_t nonce) const;
+  bool has_nonce(const Name& name, uint32_t nonce) const {
+    return has_nonce(tree_->find_exact(name), name, nonce);
+  }
 
   /// Record into the dead nonce list (consulted after entries expire).
-  void record_dead_nonce(const Name& name, uint32_t nonce);
+  void record_dead_nonce(const Name& name, uint32_t nonce) {
+    dead_.record(fingerprint(name.hash(), nonce));
+  }
+
+  /// matches_for_data() as tree entries, given @p longest =
+  /// tree.find_longest(data name) and the data name's @p depth: the
+  /// exact entry, then every CanBePrefix ancestor, by parent links.
+  void matches(NameTree::Entry* longest, size_t depth, PitMatches& out) const;
+  /// insert() given @p entry, the tree entry of the name.
+  PitEntry& insert(NameTree::Entry* entry);
+  /// Remove @p entry's PIT state (it must have some); prunes the entry
+  /// from the tree if nothing else holds it.
+  void erase(NameTree::Entry* entry);
+  /// has_nonce() given @p entry, the tree entry of @p name (nullptr when
+  /// absent).
+  bool has_nonce(const NameTree::Entry* entry, const Name& name,
+                 uint32_t nonce) const;
+  /// record_dead_nonce() for @p entry's name.
+  void record_dead_nonce(const NameTree::Entry& entry, uint32_t nonce) {
+    dead_.record(fingerprint(entry.hash, nonce));
+  }
 
  private:
+  /// Dead-nonce key: the name's cached hash mixed with the nonce.
+  static uint64_t fingerprint(size_t name_hash, uint32_t nonce) {
+    return name_hash ^ (0x9e3779b97f4a7c15ULL * nonce);
+  }
+
+  /// Bounded FIFO set of fingerprints: a ring in arrival order plus an
+  /// open-addressing index (linear probing, backward-shift deletion),
+  /// both grown with occupancy up to kDeadNonceCap.
+  class DeadNonces {
+   public:
+    bool contains(uint64_t fp) const;
+    /// No-op when present; beyond the cap the oldest entry goes.
+    void record(uint64_t fp);
+
+   private:
+    size_t home(uint64_t fp) const {
+      return static_cast<size_t>((fp * 0x9e3779b97f4a7c15ULL) >> shift_);
+    }
+    void index_insert(uint64_t fp);
+    void index_erase(uint64_t fp);
+
+    std::vector<uint64_t> ring_;  // power-of-two size
+    size_t head_ = 0;             // oldest fingerprint
+    size_t count_ = 0;
+    std::vector<uint64_t> index_;  // power-of-two size; 0 = empty slot
+    unsigned shift_ = 64;
+    bool has_zero_ = false;        // fingerprint 0 lives beside the index
+  };
+
   std::shared_ptr<NameTree> tree_;
   size_t size_ = 0;
-  // Bounded FIFO of (name-hash ^ nonce) fingerprints.
-  static constexpr size_t kDeadNonceCap = 8192;
-  std::list<uint64_t> dead_order_;
-  std::unordered_set<uint64_t> dead_set_;
+  DeadNonces dead_;
 };
 
 /// Longest-prefix-match routing table: prefix -> out-faces.

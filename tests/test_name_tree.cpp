@@ -103,7 +103,9 @@ TEST_P(TableEquivalence, NameTreeMatchesMapReference) {
         DataPtr a = cs.find(name, false, now);
         DataPtr b = rcs.find(name, false, now);
         ASSERT_EQ(a != nullptr, b != nullptr);
-        if (a) ASSERT_EQ(*a, *b);
+        if (a) {
+          ASSERT_EQ(*a, *b);
+        }
         break;
       }
       case 2: {  // CS CanBePrefix find (also exercises expiry eviction)
@@ -214,6 +216,75 @@ TEST_P(TableEquivalence, NameTreeMatchesMapReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TableEquivalence,
                          ::testing::Range<uint64_t>(1, 13));
 
+// ------------------------------------------------ dead-nonce FIFO at cap
+
+TEST(DeadNonceList, FifoEvictionMatchesReferenceBeyondCap) {
+  // The equivalence stream above never fills the dead-nonce list (its
+  // nonces are < 64). This one records ~3x kDeadNonceCap fingerprints,
+  // re-records some (a repeat of a live fingerprint must not move it in
+  // the FIFO; a repeat of an evicted one re-enters at the back), and
+  // interleaves has_nonce probes at the eviction boundary: the records
+  // made kDeadNonceCap - 1, kDeadNonceCap and kDeadNonceCap + 1 records
+  // ago, plus random older and newer ones.
+  constexpr size_t kCap = Pit::kDeadNonceCap;
+  static_assert(kCap == 8192);
+  common::Rng rng(0xdead);
+  Pit pit;
+  ref::Pit rpit;
+  const std::vector<Name> names = {Name(), Name("/a"), Name("/a/b"),
+                                   Name("/coll/file/7")};
+  struct Record {
+    size_t name;
+    uint32_t nonce;
+  };
+  std::vector<Record> history;
+  uint32_t next_nonce = 0;
+  size_t answered_true = 0;
+  size_t answered_false = 0;
+  auto check = [&](const Record& r) {
+    const bool got = pit.has_nonce(names[r.name], r.nonce);
+    ASSERT_EQ(got, rpit.has_nonce(names[r.name], r.nonce));
+    ++(got ? answered_true : answered_false);
+  };
+
+  for (size_t op = 0; op < 3 * kCap; ++op) {
+    SCOPED_TRACE(op);
+    Record r{rng.next_below(names.size()), next_nonce};
+    if (!history.empty() && rng.chance(0.1)) {
+      r = history[rng.next_below(history.size())];  // repeat
+    } else {
+      ++next_nonce;
+    }
+    pit.record_dead_nonce(names[r.name], r.nonce);
+    rpit.record_dead_nonce(names[r.name], r.nonce);
+    history.push_back(r);
+    ASSERT_TRUE(pit.has_nonce(names[r.name], r.nonce));
+
+    const size_t n = history.size();
+    for (size_t back : {kCap - 1, kCap, kCap + 1}) {
+      if (n > back) check(history[n - 1 - back]);
+    }
+    check(history[rng.next_below(n)]);
+    // Never-recorded nonces answer false in both.
+    check(Record{rng.next_below(names.size()), next_nonce + 1});
+  }
+  // Both sides of the boundary were exercised.
+  EXPECT_GT(answered_true, kCap);
+  EXPECT_GT(answered_false, kCap);
+
+  // Deterministic edge: kCap fresh records push out exactly the older
+  // state, oldest first.
+  Pit fresh;
+  for (uint32_t i = 0; i <= kCap; ++i) fresh.record_dead_nonce(names[1], i);
+  EXPECT_FALSE(fresh.has_nonce(names[1], 0));
+  EXPECT_TRUE(fresh.has_nonce(names[1], 1));
+  EXPECT_TRUE(fresh.has_nonce(names[1], static_cast<uint32_t>(kCap)));
+  fresh.record_dead_nonce(names[1], 1);  // live repeat: no reordering
+  fresh.record_dead_nonce(names[1], static_cast<uint32_t>(kCap + 1));
+  EXPECT_FALSE(fresh.has_nonce(names[1], 1));
+  EXPECT_TRUE(fresh.has_nonce(names[1], 2));
+}
+
 // ------------------------------------------------- NameTree structurals
 
 TEST(NameTree, SharedEntryAcrossTables) {
@@ -258,14 +329,37 @@ TEST(NameTree, PrefixProbesUseCachedHashes) {
   NameTree tree;
   Name deep("/x/y/z");
   tree.lookup(deep);
-  // find_prefix never materializes a prefix Name; probe every depth.
+  // find_longest never materializes a prefix Name; cap it at every depth.
   for (size_t d = 0; d <= deep.size(); ++d) {
-    NameTree::Entry* e = tree.find_prefix(deep, d);
+    NameTree::Entry* e = tree.find_longest(deep, d);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->name.to_uri(), deep.prefix(d).to_uri());
     EXPECT_EQ(e->hash, deep.prefix_hash(d));
   }
-  EXPECT_EQ(tree.find_prefix(Name("/x/q"), 2), nullptr);
+  // An absent name resolves to its deepest present prefix.
+  EXPECT_EQ(tree.find_exact(Name("/x/q")), nullptr);
+  EXPECT_EQ(tree.find_longest(Name("/x/q"))->name.to_uri(), "/x");
+  EXPECT_EQ(NameTree().find_longest(deep), nullptr);
+}
+
+TEST(NameTree, HandlesFailOncePrunedAlsoAfterCellReuse) {
+  auto tree = std::make_shared<NameTree>();
+  Pit pit(tree);
+  pit.insert(Name("/a"));
+  NameTree::Entry* a = tree->find_exact(Name("/a"));
+  const NameTree::Handle ha = tree->handle_of(a);
+  EXPECT_EQ(tree->resolve(ha), a);
+
+  pit.erase(Name("/a"));  // prunes /a and the root
+  EXPECT_EQ(tree->resolve(ha), nullptr);
+
+  // The freed cells are reused: /b's entry lands where /a's was, and the
+  // stale handle still fails while /b's own handle resolves.
+  pit.insert(Name("/b"));
+  NameTree::Entry* b = tree->find_exact(Name("/b"));
+  EXPECT_EQ(b, a);
+  EXPECT_EQ(tree->resolve(ha), nullptr);
+  EXPECT_EQ(tree->resolve(tree->handle_of(b)), b);
 }
 
 TEST(NameTree, StableSizeUnderChurn) {
