@@ -1,5 +1,6 @@
 #include "dapes/collection.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace dapes::core {
@@ -41,8 +42,12 @@ common::Bytes Collection::synthetic_payload(const Name& packet_name,
   while (out.size() < size) {
     crypto::Sha256 ctx;
     ctx.update(uri);
-    common::Bytes ctr;
-    common::append_be(ctr, counter++, 8);
+    // Big-endian 64-bit block counter, built on the stack.
+    std::array<uint8_t, 8> ctr;
+    for (size_t i = 0; i < ctr.size(); ++i) {
+      ctr[i] = static_cast<uint8_t>(counter >> (8 * (ctr.size() - 1 - i)));
+    }
+    ++counter;
     ctx.update(common::BytesView(ctr.data(), ctr.size()));
     crypto::Digest block = ctx.final_digest();
     size_t take = std::min<size_t>(32, size - out.size());

@@ -1,8 +1,36 @@
 #include "ndn/face.hpp"
 
+#include <memory>
+#include <optional>
+
 #include "common/logging.hpp"
 
 namespace dapes::ndn {
+
+namespace {
+
+/// @p frame's payload decoded as a Packet, once per frame: the first
+/// receiver parses it and memoizes the immutable result on the frame
+/// (see sim::Frame::memo), and every later receiver of the broadcast
+/// reuses it. Null when the payload does not decode, which is memoized
+/// too. The static tag is distinct per Packet type.
+template <typename Packet>
+const Packet* decode_once(const sim::Frame& frame) {
+  static constexpr char kTag = 0;
+  sim::FrameMemo& memo = frame.memo;
+  const common::BytesView payload = frame.payload.view();
+  if (memo.tag != &kTag || memo.source.data() != payload.data() ||
+      memo.source.size() != payload.size()) {
+    std::optional<Packet> packet = Packet::decode(frame.payload);
+    memo.tag = &kTag;
+    memo.source = payload;
+    memo.value = packet ? std::make_shared<const Packet>(std::move(*packet))
+                        : nullptr;
+  }
+  return static_cast<const Packet*>(memo.value.get());
+}
+
+}  // namespace
 
 void WifiFace::send_interest(const Interest& interest) {
   auto frame = std::make_shared<sim::Frame>();
@@ -61,28 +89,34 @@ void WifiFace::on_frame(const sim::FramePtr& frame) {
   // foreign frames (IP baselines) are skipped without any parsing.
   const uint8_t type = payload[0];
   if (type == tlv::kInterest) {
-    // One decode per received frame: the Interest's wire cache and
-    // ApplicationParameters are views into the frame's shared buffer.
-    if (auto interest = Interest::decode(payload)) {
+    // One decode per frame, shared by every receiver: its wire cache and
+    // ApplicationParameters are views into the frame's shared buffer, and
+    // the forwarder takes its own copy before mutating anything.
+    if (const Interest* interest = decode_once<Interest>(*frame)) {
       deliver_interest(*interest);
     } else {
       DAPES_LOG_DEBUG("wifi-face") << "undecodable interest frame";
     }
   } else if (type == tlv::kData) {
-    auto data = Data::decode(payload);
-    if (!data) {
+    const Data* decoded = decode_once<Data>(*frame);
+    if (decoded == nullptr) {
       DAPES_LOG_DEBUG("wifi-face") << "undecodable data frame";
       return;
     }
+    // Each receiver gets its own copy (a name copy plus slice refcount
+    // bumps, no re-parse): Data memoizes its content digest per instance,
+    // so one shared instance would let a receiver's verify serve the next
+    // receiver's and change the verify-cache traffic.
+    const Data data = *decoded;
     // Suppress our own pending transmission of the same Data: someone
     // else answered first.
-    auto it = pending_data_.find(data->name());
+    auto it = pending_data_.find(data.name());
     if (it != pending_data_.end()) {
       sched_.cancel(it->second.second);
       pending_data_.erase(it);
       ++data_suppressed_;
     }
-    deliver_data(*data);
+    deliver_data(data);
   }
   // Other frame types (IP baselines) are not ours; ignore.
 }

@@ -139,19 +139,17 @@ void Forwarder::on_incoming_data(FaceId in_face, const Data& data) {
   }
 
   // One walk resolves the name: the deepest present prefix is the exact
-  // entry when the name is present, and its parent chain holds every
-  // CanBePrefix candidate.
+  // entry when the name is present, its parent chain holds every
+  // CanBePrefix candidate, and a CS insert of an absent name builds the
+  // missing entries below it.
   const Name& name = data.name();
   NameTree::Entry* longest = tree_->find_longest(name);
-  NameTree::Entry* exact =
-      (longest != nullptr && longest->depth() == name.size()) ? longest
-                                                               : nullptr;
   PitMatches matched;
   pit_.matches(longest, name.size(), matched);
   if (matched.size() == 0) {
     ++stats_.unsolicited_data;
     if (strategy_->cache_unsolicited(*this, in_face, data)) {
-      cs_.insert(exact, data, sched_.now());
+      cs_.insert(longest, data, sched_.now());
     }
     return;
   }
@@ -159,7 +157,7 @@ void Forwarder::on_incoming_data(FaceId in_face, const Data& data) {
   // Matched entries hold PIT state, so the CS insert (and an eviction it
   // triggers) cannot prune them.
   if (options_.cache_solicited) {
-    cs_.insert(exact, data, sched_.now());
+    cs_.insert(longest, data, sched_.now());
   }
 
   // Collect the union of downstream faces across all satisfied entries so

@@ -151,6 +151,11 @@ class NameTree {
   /// missed), with any missing ancestors — lookup() minus its exact probe.
   Entry* insert(const Name& name);
 
+  /// Insert @p name, known to be absent, below @p parent: the entry of
+  /// its longest present prefix as find_longest() returned it (nullptr
+  /// on an empty tree). Creates the missing entries without probing.
+  Entry* insert_below(Entry* parent, const Name& name);
+
   /// Exact-match probe; nullptr when absent.
   Entry* find_exact(const Name& name) const;
 
@@ -218,9 +223,6 @@ class NameTree {
   /// The entry whose name equals the first @p depth components of
   /// @p name, or nullptr. @p hash must be name.prefix_hash(depth).
   Entry* probe(size_t hash, const Name& name, size_t depth) const;
-  /// Create the entries for @p name's components below @p parent (the
-  /// entry of its longest present prefix, or nullptr on an empty tree).
-  Entry* insert_below(Entry* parent, const Name& name);
   void place(size_t hash, Entry* entry);
   void unplace(const Entry* entry);
   void grow();

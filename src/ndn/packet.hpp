@@ -40,7 +40,7 @@ using common::Duration;
 
 /// Process-wide codec instrumentation: counts actual (de)serializations
 /// so tests and benches can assert the zero-copy invariants (one encode
-/// per broadcast, one decode per receiving node, cache hits on forward).
+/// per broadcast, one decode per frame, cache hits on forward).
 struct CodecCounters {
   std::atomic<uint64_t> interest_encodes{0};  ///< Interest serializations
   std::atomic<uint64_t> data_encodes{0};      ///< Data serializations

@@ -54,20 +54,32 @@ void ContentStore::refresh(NameTree::Entry* e, TimePoint expires) {
   touch(e);
 }
 
-void ContentStore::insert(NameTree::Entry* entry, const Data& data,
+namespace {
+
+/// @p longest when it is @p name's own entry, else nullptr.
+NameTree::Entry* exact_of(NameTree::Entry* longest, const Name& name) {
+  return longest != nullptr && longest->depth() == name.size() ? longest
+                                                               : nullptr;
+}
+
+}  // namespace
+
+void ContentStore::insert(NameTree::Entry* longest, const Data& data,
                           TimePoint now) {
   // A refresh of an existing name allocates nothing (and, unlike the
   // shared-handle overload, records no trace event).
+  NameTree::Entry* entry = exact_of(longest, data.name());
   if (entry != nullptr && entry->cs != nullptr) {
     refresh(entry, now + data.freshness());
     return;
   }
-  store(entry, std::make_shared<const Data>(data), now);
+  store(longest, std::make_shared<const Data>(data), now);
 }
 
-void ContentStore::insert(NameTree::Entry* entry, DataPtr data,
+void ContentStore::insert(NameTree::Entry* longest, DataPtr data,
                           TimePoint now) {
   if (!data) return;
+  NameTree::Entry* entry = exact_of(longest, data->name());
   if (entry != nullptr && entry->cs != nullptr) {
     refresh(entry, now + data->freshness());
     DAPES_TRACE_NAMED(trace::EventType::kCsInsert, data->name(),
@@ -75,24 +87,29 @@ void ContentStore::insert(NameTree::Entry* entry, DataPtr data,
                       /*refreshed=*/1);
     return;
   }
-  store(entry, std::move(data), now);
+  store(longest, std::move(data), now);
 }
 
-void ContentStore::store(NameTree::Entry* e, DataPtr data, TimePoint now) {
+void ContentStore::store(NameTree::Entry* longest, DataPtr data,
+                         TimePoint now) {
+  const Name& name = data->name();
   const uint64_t content_bytes = data->content().size();
   if (size_ >= capacity_) {
-    // Eviction can prune e (a payload-free ancestor of the victim).
-    if (e != nullptr) {
-      const NameTree::Handle held = tree_->handle_of(e);
+    // Eviction can prune longest (a payload-free ancestor of the
+    // victim); then the name's deepest present prefix is found afresh.
+    if (longest != nullptr) {
+      const NameTree::Handle held = tree_->handle_of(longest);
       evict_one();
-      e = tree_->resolve(held);
+      longest = tree_->resolve(held);
+      if (longest == nullptr) longest = tree_->find_longest(name);
     } else {
       evict_one();
     }
   }
   TimePoint expires = now + data->freshness();
-  if (e == nullptr) e = tree_->insert(data->name());
-  DAPES_TRACE_NAMED(trace::EventType::kCsInsert, data->name(), content_bytes,
+  NameTree::Entry* e = exact_of(longest, name);
+  if (e == nullptr) e = tree_->insert_below(longest, name);
+  DAPES_TRACE_NAMED(trace::EventType::kCsInsert, name, content_bytes,
                     /*refreshed=*/0);
   e->cs = std::make_unique<NameTree::CsState>();
   content_bytes_ += content_bytes;

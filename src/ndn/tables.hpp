@@ -61,13 +61,13 @@ class ContentStore {
   /// slice-sharing copy of the packet struct — not of its bytes); a
   /// refresh of an existing name allocates nothing.
   void insert(const Data& data, TimePoint now = TimePoint::zero()) {
-    insert(tree_->find_exact(data.name()), data, now);
+    insert(tree_->find_longest(data.name()), data, now);
   }
   /// Insert (or refresh) an already-shared Data handle.
   void insert(DataPtr data, TimePoint now = TimePoint::zero()) {
     if (!data) return;
-    NameTree::Entry* entry = tree_->find_exact(data->name());
-    insert(entry, std::move(data), now);
+    NameTree::Entry* longest = tree_->find_longest(data->name());
+    insert(longest, std::move(data), now);
   }
 
   /// Exact-name lookup; @p can_be_prefix widens to "any data under name".
@@ -78,9 +78,11 @@ class ContentStore {
     return find(entry, name, can_be_prefix, now);
   }
 
-  /// insert(const Data&) given @p entry, the tree entry of the data's
-  /// name (nullptr when absent).
-  void insert(NameTree::Entry* entry, const Data& data, TimePoint now);
+  /// insert(const Data&) given @p longest, the tree's deepest present
+  /// prefix of the data's name as NameTree::find_longest returns it (the
+  /// name's own entry when present; nullptr only on an empty tree). A new
+  /// name's entry is built below it without probing the tree again.
+  void insert(NameTree::Entry* longest, const Data& data, TimePoint now);
   /// find() given @p entry, the tree entry of @p name (nullptr when
   /// absent). Expired CS state met on the way is erased, which can prune
   /// the entry itself, so @p entry is updated to stay the tree entry of
@@ -103,14 +105,13 @@ class ContentStore {
   size_t content_bytes() const { return content_bytes_; }
 
  private:
-  /// insert(DataPtr) given @p entry, the tree entry of the data's name
-  /// (nullptr when absent).
-  void insert(NameTree::Entry* entry, DataPtr data, TimePoint now);
+  /// insert(DataPtr) given @p longest, as for the public overload.
+  void insert(NameTree::Entry* longest, DataPtr data, TimePoint now);
   /// Bump @p e's expiry + LRU position (@p e holds CS state).
   void refresh(NameTree::Entry* e, TimePoint expires);
-  /// Cache @p data under @p e, the data name's entry without CS state
-  /// (nullptr when absent), evicting the LRU entry when full.
-  void store(NameTree::Entry* e, DataPtr data, TimePoint now);
+  /// Cache @p data, whose name holds no CS state, evicting the LRU entry
+  /// when full. @p longest is as for insert().
+  void store(NameTree::Entry* longest, DataPtr data, TimePoint now);
   void touch(NameTree::Entry* e);
   void evict_one();
   /// Drop the CS state of @p e (LRU unlink, byte accounting, tree

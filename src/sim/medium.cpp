@@ -115,7 +115,9 @@ void Medium::set_range(double range_m) {
 
 void Medium::rebuild_tx_grid() {
   tx_grid_.set_cell_size(cell_for(params_.range_m));
-  for (const auto& [id, tx] : active_) tx_grid_.insert(id, tx.sender_pos);
+  for (uint32_t slot = 0; slot < tx_slots_.size(); ++slot) {
+    if (tx_slots_[slot].live) tx_grid_.insert(slot, tx_slots_[slot].sender_pos);
+  }
 }
 
 void Medium::ensure_node_grid() const {
@@ -217,7 +219,8 @@ void Medium::transmit(FramePtr frame, SendCompleteCallback on_complete) {
   double rate_bps = params_.data_rate_bps;
   if (channel_->adaptive_rate()) {
     double strongest = -std::numeric_limits<double>::infinity();
-    for (const auto& [other_id, other] : active_) {
+    for (const ActiveTx& other : tx_slots_) {
+      if (!other.live) continue;
       if (!within_range(sender_pos, other.sender_pos, other.coverage_m)) {
         continue;
       }
@@ -242,9 +245,20 @@ void Medium::transmit(FramePtr frame, SendCompleteCallback on_complete) {
   uint64_t id = next_tx_id_++;
   DAPES_TRACE_EVENT(trace::EventType::kMediumTx, sender, id,
                     frame->payload.size());
-  ActiveTx tx;
+  uint32_t slot;
+  if (!free_tx_slots_.empty()) {
+    slot = free_tx_slots_.back();
+    free_tx_slots_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(tx_slots_.size());
+    tx_slots_.emplace_back();
+  }
+  // Nothing below grows tx_slots_, so the reference stays valid. The
+  // slot turns live only once marking is done, which keeps it out of
+  // its own collider scan.
+  ActiveTx& tx = tx_slots_[slot];
   tx.id = id;
-  tx.frame = frame;
+  tx.frame = std::move(frame);
   tx.sender_pos = sender_pos;
   tx.range_m = range_of(sender);
   tx.coverage_m = channel_->coverage_m(tx.range_m);
@@ -256,7 +270,8 @@ void Medium::transmit(FramePtr frame, SendCompleteCallback on_complete) {
   // Overlap is decided at start time: a new frame overlaps exactly the
   // set of frames still active now.
   if (params_.brute_force) {
-    for (auto& [other_id, other] : active_) {
+    for (ActiveTx& other : tx_slots_) {
+      if (!other.live) continue;
       other.colliders.push_back({tx.sender_pos, tx.coverage_m, tx.range_m});
       tx.colliders.push_back(
           {other.sender_pos, other.coverage_m, other.range_m});
@@ -267,13 +282,12 @@ void Medium::transmit(FramePtr frame, SendCompleteCallback on_complete) {
     // skipping them cannot change any delivery outcome.
     const double prune = tx.coverage_m + max_coverage_m() + kCollisionSlack;
     tx_grid_.for_each_candidate(
-        tx.sender_pos, prune, [&](uint64_t other_id, Vec2 other_pos) {
+        tx.sender_pos, prune, [&](uint64_t other_slot, Vec2 other_pos) {
           if (!within_range(tx.sender_pos, other_pos, prune)) return;
-          auto it = active_.find(other_id);
-          it->second.colliders.push_back(
+          ActiveTx& other = tx_slots_[other_slot];
+          other.colliders.push_back(
               {tx.sender_pos, tx.coverage_m, tx.range_m});
-          tx.colliders.push_back(
-              {other_pos, it->second.coverage_m, it->second.range_m});
+          tx.colliders.push_back({other_pos, other.coverage_m, other.range_m});
         });
 
     // Capture the exact in-coverage receiver set now (start == now).
@@ -288,12 +302,13 @@ void Medium::transmit(FramePtr frame, SendCompleteCallback on_complete) {
               [](const auto& a, const auto& b) { return a.first < b.first; });
   }
 
-  active_.emplace(id, std::move(tx));
-  if (!params_.brute_force) tx_grid_.insert(id, sender_pos);
+  tx.live = true;
+  if (!params_.brute_force) tx_grid_.insert(slot, sender_pos);
   // Unowned on purpose: the frame has left the antenna, so its delivery
-  // must survive the sender's cancel_for_node teardown sweep.
+  // must survive the sender's cancel_for_node teardown sweep. The slot
+  // stays reserved until this delivery releases it.
   Scheduler::OwnerScope unowned(sched_, Scheduler::kNoOwner);
-  sched_.schedule_at(end, [this, id] { deliver(id); });
+  sched_.schedule_at(end, [this, slot] { deliver(slot); });
 }
 
 bool Medium::busy_for(NodeId node) const {
@@ -302,16 +317,16 @@ bool Medium::busy_for(NodeId node) const {
   // radius, so the per-transmission lookup can be skipped.
   const double uniform = channel_->coverage_m(params_.range_m);
   if (params_.brute_force) {
-    for (const auto& [id, tx] : active_) {
+    for (const ActiveTx& tx : tx_slots_) {
+      if (!tx.live) continue;
       const double cov = hetero_ranges_ ? tx.coverage_m : uniform;
       if (within_range(p, tx.sender_pos, cov)) return true;
     }
     return false;
   }
   const double query = hetero_ranges_ ? max_coverage_m() : uniform;
-  return tx_grid_.any_candidate(p, query, [&](uint64_t id, Vec2 pos) {
-    const double cov =
-        hetero_ranges_ ? active_.find(id)->second.coverage_m : uniform;
+  return tx_grid_.any_candidate(p, query, [&](uint64_t slot, Vec2 pos) {
+    const double cov = hetero_ranges_ ? tx_slots_[slot].coverage_m : uniform;
     return within_range(p, pos, cov);
   });
 }
@@ -321,7 +336,8 @@ TimePoint Medium::busy_until(NodeId node) const {
   TimePoint latest = sched_.now();
   const double uniform = channel_->coverage_m(params_.range_m);
   if (params_.brute_force) {
-    for (const auto& [id, tx] : active_) {
+    for (const ActiveTx& tx : tx_slots_) {
+      if (!tx.live) continue;
       const double cov = hetero_ranges_ ? tx.coverage_m : uniform;
       if (within_range(p, tx.sender_pos, cov) && tx.end > latest) {
         latest = tx.end;
@@ -330,8 +346,8 @@ TimePoint Medium::busy_until(NodeId node) const {
     return latest;
   }
   const double query = hetero_ranges_ ? max_coverage_m() : uniform;
-  tx_grid_.for_each_candidate(p, query, [&](uint64_t id, Vec2 pos) {
-    const ActiveTx& tx = active_.find(id)->second;
+  tx_grid_.for_each_candidate(p, query, [&](uint64_t slot, Vec2 pos) {
+    const ActiveTx& tx = tx_slots_[slot];
     const double cov = hetero_ranges_ ? tx.coverage_m : uniform;
     if (!within_range(p, pos, cov)) return;
     if (tx.end > latest) latest = tx.end;
@@ -339,12 +355,13 @@ TimePoint Medium::busy_until(NodeId node) const {
   return latest;
 }
 
-void Medium::deliver(uint64_t tx_id) {
-  auto it = active_.find(tx_id);
-  if (it == active_.end()) return;
-  ActiveTx tx = std::move(it->second);
-  active_.erase(it);
-  if (!params_.brute_force) tx_grid_.erase(tx.id, tx.sender_pos);
+void Medium::deliver(uint32_t slot) {
+  // Work on a moved-out copy: a receiver's callback can transmit, which
+  // may grow tx_slots_. The slot itself stays reserved (neither live nor
+  // free) until the vectors go back into it below.
+  ActiveTx tx = std::move(tx_slots_[slot]);
+  tx_slots_[slot].live = false;
+  if (!params_.brute_force) tx_grid_.erase(slot, tx.sender_pos);
 
   DAPES_TRACE_EVENT(trace::EventType::kMediumDeliver, tx.frame->sender,
                     tx.id);
@@ -383,6 +400,15 @@ void Medium::deliver(uint64_t tx_id) {
     Scheduler::OwnerScope own(sched_, tx.frame->sender);
     tx.on_complete(report);
   }
+
+  // Release the slot with its vectors' capacity for the next transmission.
+  tx.frame.reset();
+  tx.on_complete = nullptr;
+  tx.colliders.clear();
+  tx.receivers.clear();
+  tx.live = false;
+  tx_slots_[slot] = std::move(tx);
+  free_tx_slots_.push_back(slot);
 }
 
 void Medium::deliver_one(const ActiveTx& tx, NodeId receiver,

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -54,6 +55,20 @@ namespace dapes::sim {
 /// `Medium::add_node` in registration order).
 using NodeId = uint32_t;
 
+/// A type-erased decode result attached to a Frame (see Frame::memo).
+/// The medium never reads or writes it.
+struct FrameMemo {
+  /// Identifies the decoder that filled the memo (null while empty). A
+  /// decoder trusts only a memo carrying its own tag and made from the
+  /// frame's current payload bytes (a copied frame may change them).
+  const void* tag = nullptr;
+  /// The payload bytes the value was decoded from.
+  common::BytesView source;
+  /// The decoded value; null when the decoder found the payload
+  /// undecodable.
+  std::shared_ptr<const void> value;
+};
+
 /// One frame on the air. The payload is opaque to the medium.
 ///
 /// The payload is a ref-counted slice: the medium hands the *same* frame
@@ -68,6 +83,13 @@ struct Frame {
   /// Upper-layer tag used only for statistics (e.g. "interest", "data",
   /// "hello"). Never interpreted by the medium.
   std::string kind;
+  /// Receive-side decode memo shared by every receiver of this frame:
+  /// the first receiver that parses the payload stores the immutable
+  /// result here and later receivers reuse it, so a broadcast is decoded
+  /// once rather than once per receiver. Mutable because receivers hold
+  /// the frame const; type-erased so sim/ stays independent of the
+  /// packet layers.
+  mutable FrameMemo memo;
 };
 
 /// Shared immutable frame handle (one allocation per broadcast).
@@ -288,8 +310,13 @@ class Medium {
     double range_m = 0.0;
   };
 
+  /// One in-flight transmission, held in a reusable slot: a delivered
+  /// transmission's slot keeps its vectors' capacity for the next one.
   struct ActiveTx {
+    /// Transmission id (trace records, keyed channel draws).
     uint64_t id = 0;
+    /// Slot holds an in-flight transmission.
+    bool live = false;
     FramePtr frame;
     Vec2 sender_pos;
     /// Sender's nominal range at start time (capture rule input).
@@ -307,7 +334,9 @@ class Medium {
     SendCompleteCallback on_complete;
   };
 
-  void deliver(uint64_t tx_id);
+  /// End of transmission @p slot's airtime: hand the frame to every
+  /// eligible receiver, then report to the sender.
+  void deliver(uint32_t slot);
   /// Decide one receiver's outcome (collision fold, reception draw,
   /// stats and report bookkeeping) and, when the frame survives, invoke
   /// the receiver's callback.
@@ -357,7 +386,10 @@ class Medium {
   /// True once any node's range factor differs from 1.0; enables the
   /// per-transmission coverage lookups the uniform case can skip.
   bool hetero_ranges_ = false;
-  std::unordered_map<uint64_t, ActiveTx> active_;
+  /// In-flight transmission slots (live or free) and the free ones,
+  /// most recently released last.
+  std::vector<ActiveTx> tx_slots_;
+  std::vector<uint32_t> free_tx_slots_;
   uint64_t next_tx_id_ = 1;
   MediumStats stats_;
 
@@ -373,7 +405,7 @@ class Medium {
   mutable double node_grid_hint_ = -1.0;
   mutable bool node_grid_valid_ = false;
 
-  /// Spatial index of in-flight transmissions keyed by their (fixed)
+  /// Spatial index of in-flight transmission slots keyed by their (fixed)
   /// sender positions; maintained incrementally by transmit/deliver.
   SpatialHashGrid tx_grid_;
 };

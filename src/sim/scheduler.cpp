@@ -15,9 +15,8 @@ namespace {
 constexpr size_t kCompactFloor = 64;
 
 /// Absolute cancelled-entry cap: compact once this many dead entries
-/// accumulate even if they are still a minority of a huge heap. 4096
-/// entries is ~256 KB of Entry + closure storage — the bound on wasted
-/// memory between compactions.
+/// accumulate even if they are still a minority of a huge heap — the
+/// bound on callbacks held by cancelled events between compactions.
 constexpr size_t kCompactAbsolute = 4096;
 
 /// The calling thread's owner attribution (see Scheduler::OwnerScope):
@@ -54,16 +53,21 @@ EventId Scheduler::schedule_at(TimePoint at, std::function<void()> fn) {
   // the record carries only what the simulation observes.
   DAPES_TRACE_HERE(trace::EventType::kSchedSchedule,
                    static_cast<uint64_t>(at.us));
-  Entry e;
-  e.at = at;
-  e.seq = next_seq_++;
-  e.id = next_id_++;
-  e.owner = current_owner();
-  e.fn = std::make_shared<std::function<void()>>(std::move(fn));
-  const EventId id{e.id};
-  heap_.push_back(std::move(e));
-  std::push_heap(heap_.begin(), heap_.end(), EntryCompare{});
-  return id;
+  uint32_t slot;
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.owner = current_owner();
+  s.queued = true;
+  heap_.push_back(Key{at, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), KeyCompare{});
+  return EventId{id_value(slot, s.generation)};
 }
 
 EventId Scheduler::schedule(Duration delay, std::function<void()> fn) {
@@ -71,13 +75,33 @@ EventId Scheduler::schedule(Duration delay, std::function<void()> fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-bool Scheduler::apply_cancel(uint64_t id) {
+void Scheduler::release(uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  s.queued = false;
+  s.cancelled = false;
+  // Generation 0 would let a (slot 0, generation 0) id equal "no event".
+  if (++s.generation == 0) s.generation = 1;
+  free_.push_back(slot);
+}
+
+bool Scheduler::apply_cancel(uint64_t value) {
   // Mark; the entry is discarded lazily at pop time, or in bulk once
   // cancelled entries dominate the heap or pile past the absolute cap.
-  if (!cancelled_.insert(id).second) return false;
+  const uint32_t slot = static_cast<uint32_t>(value);
+  const uint32_t generation = static_cast<uint32_t>(value >> 32);
+  if (slot < slots_.size() && slots_[slot].queued &&
+      slots_[slot].generation == generation) {
+    Slot& s = slots_[slot];
+    if (s.cancelled) return false;
+    s.cancelled = true;
+    ++dead_;
+  } else if (!stale_.insert(value).second) {
+    return false;
+  }
   if ((heap_.size() >= kCompactFloor &&
-       cancelled_.size() * 2 > heap_.size()) ||
-      cancelled_.size() >= kCompactAbsolute) {
+       cancelled_count() * 2 > heap_.size()) ||
+      cancelled_count() >= kCompactAbsolute) {
     compact();
   }
   return true;
@@ -93,11 +117,14 @@ size_t Scheduler::cancel_for_node(uint64_t owner) {
   if (owner == kNoOwner) {
     throw std::invalid_argument("Scheduler::cancel_for_node: kNoOwner");
   }
-  // Collect first, cancel second: apply_cancel may trigger compact(),
-  // which rewrites heap_ mid-iteration.
+  // Collect first (in heap order), cancel second: apply_cancel may
+  // trigger compact(), which rewrites heap_ mid-iteration.
   std::vector<uint64_t> ids;
-  for (const Entry& e : heap_) {
-    if (e.owner == owner && !cancelled_.contains(e.id)) ids.push_back(e.id);
+  for (const Key& k : heap_) {
+    const Slot& s = slots_[k.slot];
+    if (s.owner == owner && !s.cancelled) {
+      ids.push_back(id_value(k.slot, s.generation));
+    }
   }
   size_t cancelled = 0;
   for (uint64_t id : ids) {
@@ -108,38 +135,49 @@ size_t Scheduler::cancel_for_node(uint64_t owner) {
 }
 
 void Scheduler::compact() {
-  std::erase_if(heap_, [&](const Entry& e) {
-    auto it = cancelled_.find(e.id);
-    if (it == cancelled_.end()) return false;
-    cancelled_.erase(it);
+  std::erase_if(heap_, [&](const Key& k) {
+    if (!slots_[k.slot].cancelled) return false;
+    release(k.slot);
     return true;
   });
-  // Anything left never matched a queued entry (it already fired or was
-  // compacted away before): forget it so the set cannot grow either.
-  cancelled_.clear();
-  std::make_heap(heap_.begin(), heap_.end(), EntryCompare{});
+  dead_ = 0;
+  // Stale ids never matched a queued entry: forget them so the set
+  // cannot grow either.
+  stale_.clear();
+  std::make_heap(heap_.begin(), heap_.end(), KeyCompare{});
 }
 
-size_t Scheduler::run_until(TimePoint until) {
+size_t Scheduler::run_through(TimePoint until) {
   size_t count = 0;
-  while (!heap_.empty()) {
-    if (heap_.front().at > until) break;
-    std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
-    Entry e = std::move(heap_.back());
+  while (!heap_.empty() && heap_.front().at <= until) {
+    std::pop_heap(heap_.begin(), heap_.end(), KeyCompare{});
+    const Key k = heap_.back();
     heap_.pop_back();
-    if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
+    Slot& s = slots_[k.slot];
+    if (s.cancelled) {
+      --dead_;
+      release(k.slot);
       continue;
     }
-    now_ = e.at;
+    now_ = k.at;
     ++executed_;
     ++count;
     DAPES_TRACE_HERE(trace::EventType::kSchedFire);
+    // The callback may schedule (growing slots_) or cancel its own id,
+    // so take it out and release the slot before running it.
+    std::function<void()> fn = std::move(s.fn);
+    const uint64_t owner = s.owner;
+    release(k.slot);
     // Re-install the entry's owner for the callback so events it
     // schedules inherit attribution (see OwnerScope).
-    OwnerScope own(*this, e.owner);
-    (*e.fn)();
+    OwnerScope own(*this, owner);
+    fn();
   }
+  return count;
+}
+
+size_t Scheduler::run_until(TimePoint until) {
+  const size_t count = run_through(until);
   // The clock always reaches the requested horizon, whether or not
   // events remain beyond it.
   if (now_ < until) now_ = until;
@@ -147,24 +185,7 @@ size_t Scheduler::run_until(TimePoint until) {
 }
 
 size_t Scheduler::run() {
-  size_t count = 0;
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), EntryCompare{});
-    Entry e = std::move(heap_.back());
-    heap_.pop_back();
-    if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    now_ = e.at;
-    ++executed_;
-    ++count;
-    DAPES_TRACE_HERE(trace::EventType::kSchedFire);
-    // Same owner inheritance as run_until.
-    OwnerScope own(*this, e.owner);
-    (*e.fn)();
-  }
-  return count;
+  return run_through(TimePoint{std::numeric_limits<int64_t>::max()});
 }
 
 }  // namespace dapes::sim

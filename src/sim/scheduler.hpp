@@ -6,12 +6,17 @@
 /// identical seeds give identical runs. Everything in the repository — the
 /// wireless medium, NDN forwarders, DAPES peers, the IP baselines — runs on
 /// one Scheduler instance per trial.
+///
+/// Events live in a recycled slot pool: a slot holds the callback and its
+/// owner, and the heap orders 24-byte (time, sequence, slot) keys, so
+/// scheduling an event allocates nothing once the pool and heap have
+/// grown to the trial's peak. An EventId is a slot index tagged with the
+/// slot's generation, which changes whenever the slot is released.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -24,7 +29,8 @@ using common::TimePoint;
 
 /// Handle for cancelling a scheduled event.
 struct EventId {
-  /// Opaque event identity; 0 means "no event".
+  /// Opaque event identity (slot generation << 32 | slot index); 0 means
+  /// "no event".
   uint64_t value = 0;
   /// True when the handle refers to a real (scheduled) event.
   bool valid() const { return value != 0; }
@@ -74,10 +80,11 @@ class Scheduler {
   /// Schedule @p fn after a relative delay (negative delays clamp to 0).
   EventId schedule(Duration delay, std::function<void()> fn);
 
-  /// Cancel a pending event. Returns false if it was already cancelled
-  /// (and usually if it already fired — after a compaction the scheduler
-  /// no longer remembers old ids, so a stale cancel may return true; it
-  /// is harmless either way).
+  /// Cancel a pending event. Returns true the first time an id is
+  /// cancelled and false for a repeat. Cancelling an event that already
+  /// fired is harmless: it returns true once, and the id counts as
+  /// cancelled in pending() until the next compaction, which forgets
+  /// every cancelled id (so a repeat after it returns true again).
   bool cancel(EventId id);
 
   /// The owner the calling thread currently stamps onto scheduled events
@@ -101,8 +108,8 @@ class Scheduler {
 
   /// Number of live (non-cancelled) pending events.
   size_t pending() const {
-    return cancelled_.size() < heap_.size() ? heap_.size() - cancelled_.size()
-                                            : 0;
+    const size_t cancelled = cancelled_count();
+    return cancelled < heap_.size() ? heap_.size() - cancelled : 0;
   }
 
   /// Queue entries currently held, *including* cancelled ones awaiting
@@ -113,20 +120,37 @@ class Scheduler {
   uint64_t executed() const { return executed_; }
 
  private:
-  struct Entry {
+  /// Heap entry: ordering fields plus the slot holding the event.
+  struct Key {
     TimePoint at;
     uint64_t seq = 0;
-    uint64_t id = 0;
-    /// Owning node for cancel_for_node (kNoOwner = unowned).
-    uint64_t owner = kNoOwner;
-    std::shared_ptr<std::function<void()>> fn;
+    uint32_t slot = 0;
   };
-  struct EntryCompare {
-    bool operator()(const Entry& a, const Entry& b) const {
+  struct KeyCompare {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
+  /// One pooled event. A slot is free, queued live, or queued cancelled;
+  /// it returns to the free list when its heap key leaves the heap.
+  struct Slot {
+    std::function<void()> fn;
+    /// Owning node for cancel_for_node (kNoOwner = unowned).
+    uint64_t owner = kNoOwner;
+    /// Changes on every release, so stale EventIds never match.
+    uint32_t generation = 1;
+    bool queued = false;
+    bool cancelled = false;
+  };
+
+  static uint64_t id_value(uint32_t slot, uint32_t generation) {
+    return (uint64_t{generation} << 32) | slot;
+  }
+
+  /// Cancelled events the compaction triggers and pending() count: the
+  /// cancelled entries still queued plus the remembered stale cancels.
+  size_t cancelled_count() const { return dead_ + stale_.size(); }
 
   /// Drop every cancelled entry from the heap in one O(n) pass. Called
   /// when cancelled entries outnumber live ones *or* exceed an absolute
@@ -134,17 +158,35 @@ class Scheduler {
   /// volume of dead entries while still passing the ratio test.
   void compact();
 
-  /// Cancel bookkeeping: mark @p id, compacting when dead entries pile up.
-  bool apply_cancel(uint64_t id);
+  /// Cancel bookkeeping for id @p value, compacting when dead entries
+  /// pile up.
+  bool apply_cancel(uint64_t value);
+
+  /// Release @p slot: destroy its callback, bump its generation and put
+  /// it on the free list.
+  void release(uint32_t slot);
+
+  /// Fire events in (time, sequence) order up to @p until inclusive.
+  size_t run_through(TimePoint until);
 
   TimePoint now_ = TimePoint::zero();
   uint64_t next_seq_ = 1;
-  uint64_t next_id_ = 1;
   uint64_t executed_ = 0;
-  /// Max-priority heap over EntryCompare (std::push_heap/pop_heap), kept
+  /// Max-priority heap over KeyCompare (std::push_heap/pop_heap), kept
   /// as a plain vector so compact() can filter it in place.
-  std::vector<Entry> heap_;
-  std::unordered_set<uint64_t> cancelled_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  /// Released slots, most recent last.
+  std::vector<uint32_t> free_;
+  /// Cancelled entries still in the heap.
+  size_t dead_ = 0;
+  /// Ids cancelled after their event left the heap (it fired, or a
+  /// compaction dropped it). They match nothing, but they count as
+  /// cancelled until the next compaction and a second cancel of one
+  /// returns false — the behaviour of the id-set scheduler this pool
+  /// replaced, which pending(), the compaction triggers and cancel()'s
+  /// return value keep exactly. Only stale cancels touch this set.
+  std::unordered_set<uint64_t> stale_;
 };
 
 }  // namespace dapes::sim

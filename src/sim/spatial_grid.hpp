@@ -12,16 +12,16 @@
 ///     over the positions' bounding box, so a cell probe is pure array
 ///     arithmetic. This sits on the hottest path (per-tick density and
 ///     neighbor queries).
-///   * SpatialHashGrid — incremental insert/erase keyed by packed cell
-///     coordinates in a hash map; used for the small, churning set of
-///     in-flight transmissions, where positions arrive one at a time and
-///     can lie anywhere.
+///   * SpatialHashGrid — incremental insert/erase into a fixed dense array
+///     of buckets that cell coordinates wrap onto; used for the small,
+///     churning set of in-flight transmissions, where positions arrive
+///     one at a time and can lie anywhere. Buckets keep their capacity,
+///     so the steady state allocates nothing per transmission.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -128,10 +128,15 @@ class DenseCellGrid {
   std::vector<std::pair<uint32_t, Vec2>> entries_;   // (id, position)
 };
 
-/// Incremental hash-map cell grid for churning entry sets (see file
-/// comment).
+/// Incremental cell grid for churning entry sets (see file comment): a
+/// fixed kSide x kSide array of buckets that cell coordinates wrap onto.
 class SpatialHashGrid {
  public:
+  /// Buckets per axis (a power of two). Cells kSide apart share a
+  /// bucket; their entries are extra candidates the caller's exact check
+  /// rejects, so a field up to kSide cells wide never shares one at all.
+  static constexpr int64_t kSide = 32;
+
   /// An empty grid with the given cell size (clamped to >= 1e-9).
   explicit SpatialHashGrid(double cell_size = 1.0) {
     set_cell_size(cell_size);
@@ -146,9 +151,9 @@ class SpatialHashGrid {
     clear();
   }
 
-  /// Drop every entry.
+  /// Drop every entry (buckets keep their capacity).
   void clear() {
-    cells_.clear();
+    for (auto& bucket : buckets_) bucket.clear();
     size_ = 0;
   }
 
@@ -157,21 +162,22 @@ class SpatialHashGrid {
 
   /// Add an entry at @p pos (ids need not be unique across positions).
   void insert(uint64_t id, Vec2 pos) {
-    cells_[key_of(pos)].push_back({id, pos});
+    // Allocated on first use; afterwards an insert reuses bucket
+    // capacity and allocates nothing in the steady state.
+    if (buckets_.empty()) buckets_.resize(kSide * kSide);
+    buckets_[bucket_of(coord(pos.x), coord(pos.y))].push_back({id, pos});
     ++size_;
   }
 
   /// Remove one entry previously inserted with exactly this (id, pos).
   void erase(uint64_t id, Vec2 pos) {
-    auto it = cells_.find(key_of(pos));
-    if (it == cells_.end()) return;
-    auto& bucket = it->second;
+    if (buckets_.empty()) return;
+    auto& bucket = buckets_[bucket_of(coord(pos.x), coord(pos.y))];
     for (size_t i = 0; i < bucket.size(); ++i) {
       if (bucket[i].first == id) {
         bucket[i] = bucket.back();
         bucket.pop_back();
         --size_;
-        if (bucket.empty()) cells_.erase(it);
         return;
       }
     }
@@ -190,18 +196,27 @@ class SpatialHashGrid {
   /// Like for_each_candidate, but stops as soon as fn returns true —
   /// for existence queries (carrier sense) where the first match
   /// decides the answer. Returns whether any fn call returned true.
+  /// Each entry is visited at most once.
   template <typename Fn>
   bool any_candidate(Vec2 center, double radius, Fn&& fn) const {
-    if (cells_.empty() || radius < 0) return false;
-    const int64_t cx0 = coord(center.x - radius);
-    const int64_t cx1 = coord(center.x + radius);
-    const int64_t cy0 = coord(center.y - radius);
-    const int64_t cy1 = coord(center.y + radius);
+    if (size_ == 0 || radius < 0) return false;
+    int64_t cx0 = coord(center.x - radius);
+    int64_t cx1 = coord(center.x + radius);
+    int64_t cy0 = coord(center.y - radius);
+    int64_t cy1 = coord(center.y + radius);
+    // A window of kSide or more cells wraps onto every bucket column
+    // (row): visit each once, or entries would be offered twice.
+    if (cx1 - cx0 >= kSide - 1) {
+      cx0 = 0;
+      cx1 = kSide - 1;
+    }
+    if (cy1 - cy0 >= kSide - 1) {
+      cy0 = 0;
+      cy1 = kSide - 1;
+    }
     for (int64_t cy = cy0; cy <= cy1; ++cy) {
       for (int64_t cx = cx0; cx <= cx1; ++cx) {
-        auto it = cells_.find(pack(cx, cy));
-        if (it == cells_.end()) continue;
-        for (const auto& [id, pos] : it->second) {
+        for (const auto& [id, pos] : buckets_[bucket_of(cx, cy)]) {
           if (fn(id, pos)) return true;
         }
       }
@@ -214,15 +229,15 @@ class SpatialHashGrid {
     return static_cast<int64_t>(std::floor(v / cell_));
   }
 
-  static uint64_t pack(int64_t cx, int64_t cy) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(cx)) << 32) |
-           static_cast<uint64_t>(static_cast<uint32_t>(cy));
+  /// Wrap cell (cx, cy) onto the bucket array (two's-complement masking
+  /// maps negative coordinates too).
+  static size_t bucket_of(int64_t cx, int64_t cy) {
+    return static_cast<size_t>((cy & (kSide - 1)) * kSide + (cx & (kSide - 1)));
   }
 
-  uint64_t key_of(Vec2 pos) const { return pack(coord(pos.x), coord(pos.y)); }
-
   double cell_ = 1.0;
-  std::unordered_map<uint64_t, std::vector<std::pair<uint64_t, Vec2>>> cells_;
+  /// kSide * kSide buckets once the first entry arrives.
+  std::vector<std::vector<std::pair<uint64_t, Vec2>>> buckets_;
   size_t size_ = 0;
 };
 

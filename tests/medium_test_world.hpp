@@ -39,10 +39,13 @@ struct World {
 /// `seed`; `brute` flips the medium implementation only. `channel`
 /// (optional) overrides the channel model while preserving the drawn
 /// capture ratio; `hetero_radios` puts every third node on a half-range
-/// radio (index arithmetic, no draws).
+/// radio (index arithmetic, no draws); `relays` makes a receiver transmit
+/// from inside its receive callback — a relay frame for every scripted
+/// frame it hears when (receiver + sender) % 3 == 0 — so deliveries run
+/// while the medium's in-flight table grows.
 inline void build_world(World& w, uint64_t seed, bool brute,
                         const ChannelParams* channel = nullptr,
-                        bool hetero_radios = false) {
+                        bool hetero_radios = false, bool relays = false) {
   common::Rng cfg(seed);  // consumed identically by both worlds
 
   Medium::Params mp;
@@ -98,13 +101,26 @@ inline void build_world(World& w, uint64_t seed, bool brute,
         break;
       }
     }
-    w.medium->add_node(w.mobility.back().get(),
-                       [&w, i](const FramePtr& f, NodeId receiver) {
-                         w.log.push_back(
-                             "rx t=" + std::to_string(w.sched.now().us) +
-                             " from=" + std::to_string(f->sender) + " at=" +
-                             std::to_string(receiver));
-                       });
+    w.medium->add_node(
+        w.mobility.back().get(),
+        [&w, relays](const FramePtr& f, NodeId receiver) {
+          w.log.push_back("rx t=" + std::to_string(w.sched.now().us) +
+                          " from=" + std::to_string(f->sender) +
+                          " at=" + std::to_string(receiver));
+          if (!relays || f->kind != "eq" || (receiver + f->sender) % 3 != 0) {
+            return;
+          }
+          auto relay = std::make_shared<Frame>();
+          relay->sender = receiver;
+          relay->payload = common::Bytes(60 + receiver, 0xee);
+          relay->kind = "relay";
+          w.medium->transmit(relay, [&w, receiver](const Medium::TxReport& r) {
+            w.log.push_back("relay-report from=" + std::to_string(receiver) +
+                            " rcv=" + std::to_string(r.receivers) +
+                            " col=" + std::to_string(r.collided) +
+                            " del=" + std::to_string(r.delivered));
+          });
+        });
   }
 
   if (hetero_radios) {

@@ -2,6 +2,8 @@
 // signatures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dapes/collection.hpp"
 
 namespace dapes::core {
@@ -143,6 +145,22 @@ TEST(Collection, MerkleFormatHasRootsNotDigests) {
   EXPECT_TRUE(fm.packet_digests.empty());
   // Metadata fits one segment.
   EXPECT_EQ(col->metadata_packets().size(), 1u);
+}
+
+TEST(Collection, SyntheticPayloadBytesArePinned) {
+  // Block i is SHA-256(uri || big-endian 64-bit i), truncated to the
+  // requested size: 70 bytes = two full blocks plus 6 bytes of the third.
+  // Pinned so any rewrite of the generator stays byte-identical.
+  const ndn::Name name("/campus/files/report.pdf/7");
+  const Bytes payload = Collection::synthetic_payload(name, 70);
+  EXPECT_EQ(common::to_hex(BytesView(payload.data(), payload.size())),
+            "2a992927c730cb7e7386b2e4b19623d0dc3689055d359c6bf1bacd7a8b33fa6a"
+            "9791be90c079aba3cb35ac73b7bc556717f05d6a85de6ae42dd45f3b384cced8"
+            "b5efdfb63690");
+  // A prefix request yields the same leading bytes; an empty one nothing.
+  const Bytes head = Collection::synthetic_payload(name, 32);
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), payload.begin()));
+  EXPECT_TRUE(Collection::synthetic_payload(name, 0).empty());
 }
 
 }  // namespace

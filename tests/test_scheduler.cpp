@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "scheduler_ref.hpp"
 #include "sim/scheduler.hpp"
 
 namespace dapes::sim {
@@ -301,6 +305,236 @@ TEST(Scheduler, SelfReschedulingChainBounded) {
   sched.run();
   EXPECT_EQ(count, 100);
   EXPECT_EQ(sched.now().us, 100000);
+}
+
+// ---------------------------------------------------------------------
+// Equivalence with the id-set scheduler the slot pool replaced
+// (tests/scheduler_ref.hpp, kept verbatim). Both run the same script; after
+// every step they must agree on fire order and times, now(), queued(),
+// pending(), executed() and every cancel / cancel_for_node return value.
+
+/// One scheduler plus the bookkeeping a script needs. Events are named by
+/// tokens (their schedule order), so the two sides can be compared even
+/// though their EventId values differ. A fired event's behaviour is a pure
+/// function of (seed, token): both sides do the same thing.
+template <typename S>
+struct ScriptSide {
+  explicit ScriptSide(uint64_t seed) : seed(seed) {}
+
+  S sched;
+  uint64_t seed;
+  /// Whether fired events act (schedule, cancel, sweep) or only log.
+  bool react = true;
+  std::vector<EventId> ids;  ///< by token
+  /// (what, token or count, now) records: fires, cancel results, sweeps.
+  std::vector<std::array<int64_t, 3>> log;
+
+  static constexpr uint64_t kUnowned = S::kNoOwner;
+
+  size_t schedule(int64_t delay_us, uint64_t owner) {
+    const size_t token = ids.size();
+    ids.push_back(EventId{});
+    auto fn = [this, token] { fire(token); };
+    if (owner == kUnowned) {
+      // Inherits the firing event's owner when called from a callback.
+      ids[token] = sched.schedule(Duration{delay_us}, fn);
+    } else {
+      typename S::OwnerScope own(sched, owner);
+      ids[token] = sched.schedule(Duration{delay_us}, fn);
+    }
+    return token;
+  }
+
+  /// An event whose callback cancels its own id.
+  size_t schedule_self_cancel(int64_t delay_us) {
+    const size_t token = ids.size();
+    ids.push_back(EventId{});
+    ids[token] = sched.schedule(Duration{delay_us}, [this, token] {
+      log.push_back({0, static_cast<int64_t>(token), sched.now().us});
+      cancel(token);
+    });
+    return token;
+  }
+
+  void cancel(size_t token) {
+    log.push_back({1, static_cast<int64_t>(token), sched.cancel(ids[token])});
+  }
+
+  void sweep(uint64_t owner) {
+    log.push_back({2, static_cast<int64_t>(owner),
+                   static_cast<int64_t>(sched.cancel_for_node(owner))});
+  }
+
+  void fire(size_t token) {
+    log.push_back({0, static_cast<int64_t>(token), sched.now().us});
+    if (!react) return;
+    const uint64_t h = common::derive_seed(seed, token);
+    const uint64_t arg = h >> 8;
+    switch (h % 7) {
+      case 2:  // a child (same-time ties included), inheriting the owner
+        schedule(static_cast<int64_t>(arg % 4) * 1500, kUnowned);
+        break;
+      case 3:  // self-cancel: the event already left the queue
+        cancel(token);
+        break;
+      case 4:  // cancel an earlier event, whatever its state
+        cancel(arg % ids.size());
+        break;
+      case 5:  // a teardown sweep from inside a callback
+        sweep(arg % 4);
+        break;
+      default:
+        break;
+    }
+  }
+
+  std::array<int64_t, 4> state() const {
+    return {sched.now().us, static_cast<int64_t>(sched.queued()),
+            static_cast<int64_t>(sched.pending()),
+            static_cast<int64_t>(sched.executed())};
+  }
+};
+
+/// Runs @p seed's random script on both schedulers in lockstep.
+void run_equivalence_script(uint64_t seed, int steps) {
+  ScriptSide<Scheduler> fast(seed);
+  ScriptSide<ref::Scheduler> oracle(seed);
+  common::Rng rng(seed);
+  auto both = [&](auto&& op) {
+    op(fast);
+    op(oracle);
+  };
+  size_t compared = 0;  // log entries already checked
+  bool capped = false;  // the absolute-cap burst ran
+  auto random_owner = [&] {
+    return rng.chance(0.4) ? Scheduler::kNoOwner : rng.next_below(4);
+  };
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
+    const uint64_t pick = rng.next_below(100);
+    if (pick < 35) {
+      // Near-future event; a coarse delay grid makes same-time ties.
+      const int64_t delay = static_cast<int64_t>(rng.next_below(40)) * 500;
+      const uint64_t owner = random_owner();
+      both([&](auto& side) { side.schedule(delay, owner); });
+    } else if (pick < 52 && !fast.ids.empty()) {
+      // Any issued id: queued, cancelled, fired or compacted away.
+      const size_t token = rng.next_below(fast.ids.size());
+      both([&](auto& side) { side.cancel(token); });
+    } else if (pick < 55) {
+      both([&](auto& side) {
+        side.log.push_back({3, 0, side.sched.cancel(EventId{})});
+      });
+    } else if (pick < 61) {
+      const uint64_t owner = rng.next_below(4);
+      both([&](auto& side) { side.sweep(owner); });
+    } else if (pick < 85) {
+      const int64_t horizon =
+          fast.sched.now().us + static_cast<int64_t>(rng.next_below(6000));
+      both([&](auto& side) {
+        side.log.push_back(
+            {4, static_cast<int64_t>(side.sched.run_until(TimePoint{horizon})),
+             side.sched.now().us});
+      });
+    } else if (pick < 88) {
+      both([&](auto& side) {
+        side.log.push_back({5, static_cast<int64_t>(side.sched.run()),
+                            side.sched.now().us});
+      });
+    } else if (pick < 97) {
+      // A burst of far-future timers, most cancelled again: trips the
+      // ratio trigger (and, swept by owner, compaction mid-sweep).
+      const size_t count = 40 + rng.next_below(200);
+      const uint64_t owner = rng.next_below(4);
+      const bool by_sweep = rng.chance(0.3);
+      const size_t first = fast.ids.size();
+      both([&](auto& side) {
+        for (size_t i = 0; i < count; ++i) {
+          side.schedule(1'000'000 + static_cast<int64_t>(i % 17) * 1000,
+                        i % 3 == 0 ? Scheduler::kNoOwner : owner);
+        }
+      });
+      if (by_sweep) {
+        both([&](auto& side) { side.sweep(owner); });
+      } else {
+        for (size_t i = first; i < first + count; ++i) {
+          if (rng.chance(0.8)) both([&](auto& side) { side.cancel(i); });
+        }
+      }
+    } else if (!capped) {
+      // Once per script: many live events and a dead pile past the
+      // absolute cap (4096) while still a minority of the heap.
+      capped = true;
+      const size_t first = fast.ids.size();
+      both([&](auto& side) {
+        for (int i = 0; i < 9000; ++i) {
+          side.schedule(2'000'000 + i, Scheduler::kNoOwner);
+        }
+      });
+      for (size_t i = first; i < first + 4200; ++i) {
+        both([&](auto& side) { side.cancel(i); });
+      }
+    }
+    ASSERT_EQ(fast.state(), oracle.state());
+    ASSERT_EQ(fast.log.size(), oracle.log.size());
+    for (; compared < fast.log.size(); ++compared) {
+      ASSERT_EQ(fast.log[compared], oracle.log[compared]);
+    }
+  }
+  // Drain: the remainder fires identically too.
+  both([&](auto& side) { side.sched.run(); });
+  ASSERT_EQ(fast.state(), oracle.state());
+  ASSERT_TRUE(fast.log == oracle.log);
+}
+
+TEST(SchedulerEquivalence, RandomScriptsMatchTheIdSetScheduler) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    run_equivalence_script(seed, 1500);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(SchedulerEquivalence, StaleCancelsMatchTheIdSetScheduler) {
+  // The corner cases spelled out: cancel after fire (true once, then
+  // false), self-cancel, a stale cancel's effect on pending(), and a
+  // cancel of an id whose entry a compaction dropped.
+  ScriptSide<Scheduler> fast(0);
+  ScriptSide<ref::Scheduler> oracle(0);
+  fast.react = oracle.react = false;
+  auto both = [&](auto&& op) {
+    op(fast);
+    op(oracle);
+  };
+  both([](auto& side) {
+    side.schedule(10, Scheduler::kNoOwner);  // token 0
+    side.schedule(20, Scheduler::kNoOwner);  // token 1
+    side.sched.run_until(TimePoint{15});     // token 0 fires
+    side.cancel(0);                          // after fire: true
+    side.cancel(0);                          // repeat: false
+    side.log.push_back({9, 0, static_cast<int64_t>(side.sched.pending())});
+    side.schedule_self_cancel(30);  // token 2
+    side.sched.run_until(TimePoint{50});  // token 2 fires at 45
+    side.cancel(2);  // self-cancelled already: false
+    side.log.push_back({9, 1, static_cast<int64_t>(side.sched.pending())});
+    for (int i = 0; i < 100; ++i) side.schedule(1000 + i, 5);  // tokens 3..
+    side.sweep(5);  // dead majority: compacts mid-sweep
+    side.cancel(3);  // its entry was compacted away
+    side.cancel(3);
+    side.sched.run();
+    side.cancel(1);
+  });
+  EXPECT_EQ(fast.state(), oracle.state());
+  EXPECT_TRUE(fast.log == oracle.log);
+  auto cancels_of = [&](int64_t token) {
+    std::vector<int64_t> results;
+    for (const auto& entry : fast.log) {
+      if (entry[0] == 1 && entry[1] == token) results.push_back(entry[2]);
+    }
+    return results;
+  };
+  // After fire and after self-cancel alike: true once, then false.
+  EXPECT_EQ(cancels_of(0), (std::vector<int64_t>{1, 0}));
+  EXPECT_EQ(cancels_of(2), (std::vector<int64_t>{1, 0}));
 }
 
 }  // namespace

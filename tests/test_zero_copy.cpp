@@ -2,7 +2,9 @@
 // engine via the codec counters (ISSUE 2 acceptance criteria):
 //   * one broadcast frame is serialized exactly once, no matter how many
 //     nodes overhear it;
-//   * each receiving node decodes a frame at most once;
+//   * a broadcast frame is decoded at most once, however many nodes
+//     receive it, and an undecodable one is parsed once and dropped by
+//     every receiver;
 //   * forwarding an unmodified Data performs zero re-serialization — the
 //     cached wire (and the underlying frame buffer) is reused;
 //   * the Content Store shares the decoded packet instead of deep-copying.
@@ -45,44 +47,134 @@ struct ZeroCopyTest : ::testing::Test {
   }
 };
 
-TEST_F(ZeroCopyTest, BroadcastEncodedOnceDecodedOncePerReceiver) {
+/// Sender A plus two overhearing WifiFaces B and C, each recording what
+/// it delivers upward.
+struct Overhearers {
+  std::vector<std::shared_ptr<WifiFace>> faces;
+  std::vector<Interest> interests;
+  std::vector<Data> data;
+};
+
+void add_overhearers(ZeroCopyTest& t, sim::Medium& medium, Overhearers& out) {
+  for (auto* pos : {&t.pos_b, &t.pos_c}) {
+    const size_t idx = out.faces.size();
+    sim::NodeId node = medium.add_node(
+        pos, [idx, &out](const sim::FramePtr& frame, sim::NodeId) {
+          out.faces[idx]->on_frame(frame);
+        });
+    auto radio =
+        std::make_shared<sim::Radio>(t.sched, medium, node, t.rng.fork());
+    auto face = std::make_shared<WifiFace>(t.sched, *radio, node, t.rng.fork(),
+                                           common::Duration{0});
+    face->set_receive_handlers(
+        [&out](const Interest& i) { out.interests.push_back(i); },
+        [&out](const Data& d) { out.data.push_back(d); });
+    t.radios.push_back(std::move(radio));
+    out.faces.push_back(std::move(face));
+  }
+}
+
+TEST_F(ZeroCopyTest, BroadcastEncodedOnceDecodedOncePerFrame) {
   sim::Medium medium(sched, params(), rng.fork());
   sim::NodeId a = medium.add_node(&pos_a, nullptr);
-
-  // Two overhearing nodes, each with its own WifiFace.
-  std::vector<std::shared_ptr<WifiFace>> receivers;
-  std::vector<Data> received;
-  for (auto* pos : {&pos_b, &pos_c}) {
-    auto idx = receivers.size();
-    sim::NodeId node = medium.add_node(
-        pos, [this, idx, &receivers](const sim::FramePtr& frame, sim::NodeId) {
-          receivers[idx]->on_frame(frame);
-        });
-    auto radio = std::make_shared<sim::Radio>(sched, medium, node, rng.fork());
-    auto face = std::make_shared<WifiFace>(sched, *radio, node, rng.fork(),
-                                           common::Duration{0});
-    face->set_receive_handlers(nullptr,
-                               [&received](const Data& d) { received.push_back(d); });
-    radios.push_back(std::move(radio));
-    receivers.push_back(std::move(face));
-  }
+  Overhearers rx;
+  add_overhearers(*this, medium, rx);
 
   sim::Radio radio_a(sched, medium, a, rng.fork());
   WifiFace sender(sched, radio_a, a, rng.fork(), common::Duration{0});
   sender.send_data(make_data("/zc/frame/0"));
   sched.run();
 
-  ASSERT_EQ(received.size(), 2u);
+  ASSERT_EQ(rx.data.size(), 2u);
   auto& c = codec_counters();
   // One serialization for the broadcast, regardless of receiver count.
   EXPECT_EQ(c.data_encodes.load(), 1u);
-  // Each receiving node decoded the frame exactly once.
-  EXPECT_EQ(c.data_decodes.load(), 2u);
+  // One parse for the frame: the second receiver reuses the first's.
+  EXPECT_EQ(c.data_decodes.load(), 1u);
 
-  // Both decoded packets are views into the same transmitted buffer.
-  ASSERT_TRUE(received[0].has_wire());
-  ASSERT_TRUE(received[1].has_wire());
-  EXPECT_EQ(received[0].wire().data(), received[1].wire().data());
+  // Both delivered packets are views into the same transmitted buffer.
+  ASSERT_TRUE(rx.data[0].has_wire());
+  ASSERT_TRUE(rx.data[1].has_wire());
+  EXPECT_EQ(rx.data[0].wire().data(), rx.data[1].wire().data());
+  EXPECT_EQ(rx.data[0], rx.data[1]);
+}
+
+TEST_F(ZeroCopyTest, BroadcastInterestDecodedOncePerFrame) {
+  sim::Medium medium(sched, params(), rng.fork());
+  sim::NodeId a = medium.add_node(&pos_a, nullptr);
+  Overhearers rx;
+  add_overhearers(*this, medium, rx);
+
+  sim::Radio radio_a(sched, medium, a, rng.fork());
+  WifiFace sender(sched, radio_a, a, rng.fork(), common::Duration{0});
+  Interest interest(Name("/zc/interest/0"));
+  interest.set_nonce(42);
+  interest.set_app_parameters(bytes_of("bitmap-bits"));
+  sender.send_interest(interest);
+  sched.run();
+
+  ASSERT_EQ(rx.interests.size(), 2u);
+  auto& c = codec_counters();
+  EXPECT_EQ(c.interest_encodes.load(), 1u);
+  EXPECT_EQ(c.interest_decodes.load(), 1u);
+  // Same packet, same frame buffer, parameters still views into it.
+  EXPECT_EQ(rx.interests[0], interest);
+  EXPECT_EQ(rx.interests[1], interest);
+  EXPECT_EQ(rx.interests[0].wire().data(), rx.interests[1].wire().data());
+  EXPECT_EQ(rx.interests[0].app_parameters().data(),
+            rx.interests[1].app_parameters().data());
+}
+
+TEST_F(ZeroCopyTest, UndecodableFrameParsedOnceAndDroppedByEveryReceiver) {
+  sim::Medium medium(sched, params(), rng.fork());
+  sim::NodeId a = medium.add_node(&pos_a, nullptr);
+  Overhearers rx;
+  add_overhearers(*this, medium, rx);
+
+  // Data and Interest type bytes followed by a lying TLV length.
+  for (uint8_t type : {uint8_t{tlv::kData}, uint8_t{tlv::kInterest}}) {
+    auto frame = std::make_shared<sim::Frame>();
+    frame->sender = a;
+    frame->payload = common::BufferSlice(common::Bytes{type, 0x7f, 0x07, 0x01});
+    frame->kind = "garbage";
+    medium.transmit(frame);
+    sched.run();
+  }
+
+  EXPECT_TRUE(rx.data.empty());
+  EXPECT_TRUE(rx.interests.empty());
+  auto& c = codec_counters();
+  EXPECT_EQ(c.data_decodes.load(), 1u);
+  EXPECT_EQ(c.interest_decodes.load(), 1u);
+  EXPECT_EQ(medium.stats().deliveries, 4u);
+}
+
+TEST_F(ZeroCopyTest, CopiedFrameWithNewPayloadIsDecodedAfresh) {
+  // The decode memo belongs to the payload bytes, not to the Frame
+  // object: a copy that swaps the payload must not serve the old packet.
+  sim::Medium medium(sched, params(), rng.fork());
+  sim::NodeId b = medium.add_node(&pos_b, nullptr);
+  sim::Radio radio_b(sched, medium, b, rng.fork());
+  WifiFace face(sched, radio_b, b, rng.fork(), common::Duration{0});
+  std::vector<Data> received;
+  face.set_receive_handlers(nullptr,
+                            [&](const Data& d) { received.push_back(d); });
+
+  auto first = std::make_shared<sim::Frame>();
+  first->sender = 0;
+  first->payload = make_data("/zc/copy/0").wire();
+  first->kind = "ndn-data";
+  face.on_frame(first);
+  auto second = std::make_shared<sim::Frame>(*first);
+  second->payload = make_data("/zc/copy/1").wire();
+  face.on_frame(second);
+  face.on_frame(first);  // the original's memo still serves it
+
+  ASSERT_EQ(received.size(), 3u);
+  EXPECT_EQ(received[0].name(), Name("/zc/copy/0"));
+  EXPECT_EQ(received[1].name(), Name("/zc/copy/1"));
+  EXPECT_EQ(received[2].name(), Name("/zc/copy/0"));
+  EXPECT_EQ(codec_counters().data_decodes.load(), 2u);
 }
 
 TEST_F(ZeroCopyTest, ForwardingUnmodifiedDataNeverReserializes) {
